@@ -7,24 +7,8 @@ coefficient with its train frequency gives the series' dyad spectrum, from
 which the series can be rebuilt.
 """
 
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    FileFormatError,
-    SingularSystem,
-    SquareWaveError,
-)
-from .linsolve import (
-    DEFAULT_MAX_N_DENSE,
-    Factorization,
-    SolveReport,
-    SolverOptions,
-    apply_sign_matrix,
-    assemble_dense,
-    default_max_n_dense,
-    factorize,
-    solve,
-)
+from .errors import DimensionMismatch, FileFormatError, SquareWaveError
+from .linsolve import SolveReport, apply_sign_matrix, solve
 from .random_series import DigitStream, GeneratedSeries, generate, next_value
 from .transform import (
     Dyad,
@@ -48,28 +32,20 @@ from .waves import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapExceeded",
-    "DEFAULT_MAX_N_DENSE",
     "DigitStream",
     "DimensionMismatch",
     "Dyad",
-    "Factorization",
     "FileFormatError",
     "GeneratedSeries",
     "GridSpec",
     "ReconstructionReport",
     "SignPattern",
-    "SingularSystem",
     "SolveReport",
-    "SolverOptions",
     "Spectrum",
     "SquareWaveError",
     "TimeSeries",
     "TrainDescriptor",
     "apply_sign_matrix",
-    "assemble_dense",
-    "default_max_n_dense",
-    "factorize",
     "forward",
     "generate",
     "half_wave_length",

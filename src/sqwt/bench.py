@@ -1,4 +1,4 @@
-"""Timing and residual harness for the dense solve pipeline."""
+"""Timing and residual harness for the solver and the matrix-free product."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linsolve import SolverOptions, _refine, assemble_dense, factorize
+from .linsolve import apply_sign_matrix, solve
 from .waves import SignPattern
 
 _RHS_SEED = 2024
@@ -15,65 +15,43 @@ _RHS_SEED = 2024
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One benchmark measurement: best-of-repeats phase timings for one size."""
+    """One benchmark measurement: best-of-repeats timings for one size."""
 
     n: int
-    assemble_seconds: float
-    factorize_seconds: float
-    refine_seconds: float
+    solve_seconds: float
+    matvec_seconds: float
     residual_inf_norm: float
-    peak_bytes_estimate: int
 
 
-def bench_case(
-    n: int, repeats: int = 1, options: SolverOptions | None = None
-) -> BenchRow:
-    """Time assemble / factorize / solve+refine phases on a random right-hand side."""
+def bench_case(n: int, repeats: int = 1) -> BenchRow:
+    """Time solve and apply_sign_matrix on a random right-hand side."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
-    if options is None:
-        options = SolverOptions()
     pattern = SignPattern(n)
     rhs = np.random.default_rng(_RHS_SEED).uniform(-100.0, 100.0, n)
-    best = [float("inf")] * 3
-    residual = float("nan")
+    best_solve = best_matvec = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        a = assemble_dense(pattern, options.max_n_dense)
+        x, report = solve(pattern, rhs)
         t1 = time.perf_counter()
-        fact = factorize(a, options.pivot_tolerance)
+        apply_sign_matrix(pattern, x)
         t2 = time.perf_counter()
-        x = fact.solve(rhs)
-        _, residual, _ = _refine(fact, pattern, rhs, x, options.refinement_steps)
-        t3 = time.perf_counter()
-        best = [
-            min(best[0], t1 - t0),
-            min(best[1], t2 - t1),
-            min(best[2], t3 - t2),
-        ]
-    # the matrix is factored in place, so one n*n buffer dominates
-    peak = n * n * 8 + 40 * n
-    return BenchRow(n, best[0], best[1], best[2], residual, peak)
+        best_solve = min(best_solve, t1 - t0)
+        best_matvec = min(best_matvec, t2 - t1)
+    return BenchRow(n, best_solve, best_matvec, report.residual_inf_norm)
 
 
-def run_bench(
-    sizes: list[int], repeats: int = 1, options: SolverOptions | None = None
-) -> list[BenchRow]:
+def run_bench(sizes: list[int], repeats: int = 1) -> list[BenchRow]:
     """Run bench_case for every size, in the order given."""
-    return [bench_case(n, repeats, options) for n in sizes]
+    return [bench_case(n, repeats) for n in sizes]
 
 
 def format_table(rows: list[BenchRow]) -> str:
     """Fixed-width table with one line per benchmarked size."""
-    header = (
-        f"{'n':>8}  {'assemble_s':>10}  {'factorize_s':>11}  "
-        f"{'refine_s':>9}  {'residual_inf':>12}  {'peak_mem_est':>12}"
-    )
-    lines = [header]
+    lines = [f"{'n':>8}  {'solve_s':>9}  {'matvec_s':>9}  {'residual_inf':>12}"]
     for r in rows:
         lines.append(
-            f"{r.n:>8d}  {r.assemble_seconds:>10.4f}  {r.factorize_seconds:>11.4f}  "
-            f"{r.refine_seconds:>9.4f}  {r.residual_inf_norm:>12.3e}  "
-            f"{r.peak_bytes_estimate / 1e6:>9.1f} MB"
+            f"{r.n:>8d}  {r.solve_seconds:>9.4f}  {r.matvec_seconds:>9.4f}  "
+            f"{r.residual_inf_norm:>12.3e}"
         )
     return "\n".join(lines)

@@ -1,34 +1,17 @@
 """Command-line surface: analyze, reconstruct, generate, bench, spectrum-plotdata.
 
-numpy and the rest of the package are imported only after --threads has
-been applied to the environment, because BLAS thread pools size themselves
-when the library loads. Exit codes: 0 success, 2 bad flags or unparsable
-input, 3 singular system, 4 dense-cap exceeded.
+The solver is single-threaded and deterministic, so --threads is accepted
+and validated for compatibility with existing scripts but changes nothing.
+Exit codes: 0 success, 2 bad flags or unparsable input.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_SINGULAR = 3
-EXIT_CAP = 4
-
-_THREAD_ENV_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_limit(threads: int) -> None:
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
 
 
 def _fail_usage(message: str) -> int:
@@ -43,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="bound internal BLAS parallelism (results do not depend on it)",
+        help="accepted for compatibility; must be >= 1 and has no effect",
     )
 
     parser = argparse.ArgumentParser(
@@ -94,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         parents=[common],
-        help="time the assemble/factorize/refine phases over a list of sizes",
+        help="time solve and apply_sign_matrix over a list of sizes",
     )
     p.add_argument("--sizes", required=True,
                    help="comma-separated list of system sizes, e.g. 256,1024")
@@ -206,27 +189,16 @@ def _cmd_spectrum_plotdata(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            return _fail_usage(f"--threads must be >= 1, got {args.threads}")
-        _apply_thread_limit(args.threads)
+    if args.threads is not None and args.threads < 1:
+        return _fail_usage(f"--threads must be >= 1, got {args.threads}")
 
-    from .errors import CapExceeded, FileFormatError, SingularSystem
+    from .errors import FileFormatError
 
     try:
         return args.func(args)
-    except FileFormatError as exc:
+    except (FileFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularSystem as exc:
-        print(f"error: singular system: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
 
 
 if __name__ == "__main__":

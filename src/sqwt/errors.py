@@ -11,31 +11,6 @@ class DimensionMismatch(SquareWaveError):
     """A vector or series length does not match the grid it is used with."""
 
 
-class SingularSystem(SquareWaveError):
-    """A pivot magnitude fell below tolerance during factorization."""
-
-    def __init__(self, pivot_index: int, pivot: float, tolerance: float):
-        self.pivot_index = pivot_index  # 1-based position in the pivot sequence
-        self.pivot = pivot
-        self.tolerance = tolerance
-        super().__init__(
-            f"pivot {pivot_index} has magnitude {pivot:.6g}, "
-            f"below tolerance {tolerance:.6g}"
-        )
-
-
-class CapExceeded(SquareWaveError):
-    """A requested size is above the dense-materialization cap."""
-
-    def __init__(self, n: int, max_n_dense: int):
-        self.n = n
-        self.max_n_dense = max_n_dense
-        super().__init__(
-            f"n={n} exceeds the dense cap of {max_n_dense} "
-            f"(the system matrix would hold n*n doubles)"
-        )
-
-
 class FileFormatError(SquareWaveError):
     """An input file could not be parsed; carries the path and, when known, the line."""
 

@@ -1,67 +1,40 @@
-"""Assembly and pivoted solution of the n-by-n signed coefficient system.
+"""The n-by-n signed coefficient system, solved through its divisor structure.
 
-The system matrix has entry (i, j) equal to the sign of train j at
-subinterval i, so every entry is +-1. Factorization works on a dense
-Fortran-ordered copy (LAPACK, partial pivoting, factored in place);
-residuals for iterative refinement and diagnostics are computed
-matrix-free from the half-wave run structure instead.
+Entry (i, j) of the sign matrix is the sign of train j at subinterval i,
+(-1)^floor((i-1)/l), where l = n - j + 1 is the train's half-wave span.
+Row i+1 differs from row i only in the columns whose span divides i, so
+first differences turn the system into
+
+    sum_l c_l                      = V_1
+    sum_{l | i} 2 (-1)^(i/l) c_l   = V_{i+1} - V_i      (i = 1 .. n-1).
+
+Ordered by span this is lower triangular, with diagonal -2 for spans
+1..n-1 and 1 for span n, so |det| = 2^(n-1) and the system is never
+singular. Forward substitution runs over dyadic span blocks [L, 2L): every
+proper divisor of a span in a block lies below the block. The solve and
+the matrix-free product both take O(n log n) time and O(n) memory.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .errors import CapExceeded, DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch
 from .waves import SignPattern
-
-MAX_N_DENSE_ENV = "SQWT_MAX_N_DENSE"
-DEFAULT_MAX_N_DENSE = 12_000
-
-
-def default_max_n_dense() -> int:
-    """Dense-size cap; the SQWT_MAX_N_DENSE environment variable overrides it."""
-    raw = os.environ.get(MAX_N_DENSE_ENV)
-    if raw is None:
-        return DEFAULT_MAX_N_DENSE
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_N_DENSE_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{MAX_N_DENSE_ENV} must be >= 1, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Solver knobs.
-
-    pivot_tolerance of None means 1e-12 * n * (largest entry magnitude),
-    max_n_dense of None means default_max_n_dense().
-    """
-
-    pivot_tolerance: float | None = None
-    refinement_steps: int = 2
-    max_n_dense: int | None = None
-
-    def __post_init__(self):
-        if self.pivot_tolerance is not None and not self.pivot_tolerance > 0:
-            raise ValueError(f"pivot_tolerance must be > 0, got {self.pivot_tolerance!r}")
-        if self.refinement_steps < 0:
-            raise ValueError(f"refinement_steps must be >= 0, got {self.refinement_steps!r}")
-        if self.max_n_dense is not None and self.max_n_dense < 1:
-            raise ValueError(f"max_n_dense must be >= 1, got {self.max_n_dense!r}")
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Diagnostics from one solve."""
+    """Diagnostics from one solve.
+
+    min_pivot is the smallest diagonal magnitude of the triangular system,
+    always 1.0; residual_inf_norm is recomputed matrix-free after the
+    refinement step.
+    """
 
     min_pivot: float
     residual_inf_norm: float
@@ -69,148 +42,126 @@ class SolveReport:
     elapsed_seconds: float
 
 
-def assemble_dense(pattern: SignPattern, max_n_dense: int | None = None) -> np.ndarray:
-    """Materialize the sign matrix as float64 entries of +-1.0.
+def _two_sum_error(a, b, total):
+    """Exact rounding error of total = fl(a + b) (Knuth's TwoSum)."""
+    virtual = total - a
+    return (a - (total - virtual)) + (b - virtual)
 
-    The array is Fortran-ordered so LAPACK can factor it in place without
-    another copy. Sizes above the cap are refused: the matrix holds n*n
-    doubles (800 MB at n = 10,000).
+
+def _prefix_sums(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of hi + lo as a pair (sums, corrections).
+
+    The plain running sum is kept next to the running sum of its exact
+    rounding errors (and of lo), so sums + corrections is accurate to a
+    few units in the last place however long the series.
     """
-    cap = default_max_n_dense() if max_n_dense is None else max_n_dense
-    n = pattern.n
-    if n > cap:
-        raise CapExceeded(n, cap)
-    a = np.empty((n, n), dtype=np.float64, order="F")
-    rows = np.arange(n, dtype=np.int64)
-    for j in range(n):
-        l = n - j  # half-wave span of train j+1
-        a[:, j] = 1.0 - 2.0 * ((rows // l) & 1)
-    return a
+    sums = np.cumsum(hi)
+    errors = lo.copy()
+    errors[1:] += _two_sum_error(sums[:-1], hi[1:], sums[1:])
+    return sums, np.cumsum(errors)
+
+
+def _span_blocks(n: int):
+    """Dyadic blocks [L, 2L) covering spans 1 .. n-1."""
+    start = 1
+    while start < n:
+        stop = min(2 * start, n)
+        yield start, stop
+        start = stop
+
+
+def _proper_divisor_sums(x: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of (-1)^(i/l) x[l] over the proper divisors l of each i in [start, stop).
+
+    Requires stop <= 2 * start, so every proper divisor is below start.
+    Returns (hi, lo) with hi + lo the TwoSum-compensated sum. Divisor pairs
+    (l, m = i/l) are swept as strided slices: all multiples of each l up
+    to sqrt(stop), then all larger l for each quotient m, so the loops run
+    O(sqrt(stop)) times. The order of additions is fixed.
+    """
+    width = stop - start
+    hi = np.zeros(width)
+    lo = np.zeros(width)
+    alternating = np.where(np.arange(width + 2) & 1, -1.0, 1.0)
+    split = math.isqrt(stop)
+
+    def add(rows, terms):
+        total = hi[rows] + terms
+        lo[rows] += _two_sum_error(hi[rows], terms, total)
+        hi[rows] = total
+
+    for l in range(1, min(split, start - 1) + 1):
+        m = -(-start // l)
+        count = -(-stop // l) - m
+        add(slice(m * l - start, None, l), x[l] * alternating[m & 1 : (m & 1) + count])
+    for m in range(2, (stop - 1) // (split + 1) + 1):
+        first = max(split + 1, -(-start // m))
+        last = min(start, -(-stop // m))
+        if first < last:
+            rows = slice(first * m - start, (last - 1) * m - start + 1, m)
+            add(rows, x[first:last] if m % 2 == 0 else -x[first:last])
+    return hi, lo
+
+
+def _substitute(rhs: np.ndarray) -> np.ndarray:
+    """Forward substitution on the differenced system; coefficients in train order."""
+    n = rhs.shape[0]
+    x = np.zeros(n + 1)  # x[l]: coefficient of the train with span l
+    half_diff = np.zeros(n)
+    half_diff[1:] = np.diff(rhs) / 2.0
+    for start, stop in _span_blocks(n):
+        hi, lo = _proper_divisor_sums(x, start, stop)
+        x[start:stop] = (hi - half_diff[start:stop]) + lo
+    sums, corrections = _prefix_sums(x[:n], np.zeros(n))  # x[0] is 0
+    x[n] = (rhs[0] - sums[-1]) - corrections[-1]
+    return x[:0:-1].copy()
+
+
+def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign matrix times x (train order) as an unrounded pair (sums, corrections)."""
+    n = x.shape[0]
+    spans = np.zeros(n + 1)
+    spans[1:] = x[::-1]
+    diff_hi = np.empty(n)
+    diff_lo = np.empty(n)
+    sums, corrections = _prefix_sums(spans[1:], np.zeros(n))
+    diff_hi[0], diff_lo[0] = sums[-1], corrections[-1]
+    for start, stop in _span_blocks(n):
+        hi, lo = _proper_divisor_sums(spans, start, stop)
+        own = -spans[start:stop]
+        total = hi + own
+        diff_hi[start:stop] = 2.0 * total
+        diff_lo[start:stop] = 2.0 * (lo + _two_sum_error(hi, own, total))
+    return _prefix_sums(diff_hi, diff_lo)
 
 
 def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     """Matrix-free product of the sign matrix with x.
 
-    Walks each train's half-wave runs and adds or subtracts x_j over the
-    run's rows: signed additions only, no multiplies, no matrix. Every row
-    accumulates in ascending-j order with exact TwoSum compensation, so the
-    result is bit-reproducible, independent of thread count, and free of
-    the O(n) rounding drift a plain running sum would pick up (coefficient
-    magnitudes can dwarf the series values by orders of magnitude).
+    Computes row 1 and the row-to-row differences
+    2 * sum_{l | i} (-1)^(i/l) x_l with TwoSum-compensated divisor sums,
+    then a compensated prefix sum. The order of operations is fixed, so the
+    result is bit-reproducible, exact on integer vectors, and free of the
+    rounding drift a plain running sum would pick up (coefficients can
+    dwarf the series values by orders of magnitude).
     """
     n = pattern.n
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise DimensionMismatch(f"expected a vector of length {n}, got shape {x.shape}")
-    y = np.zeros(n, dtype=np.float64)
-    comp = np.zeros(n, dtype=np.float64)
-    for j0 in range(n):
-        l = n - j0
-        xj = x[j0]
-        positive = True
-        for start in range(0, n, l):
-            stop = start + l
-            if stop > n:
-                stop = n
-            seg = y[start:stop]
-            u = xj if positive else -xj
-            total = seg + u
-            # TwoSum: recover the rounding error of seg + u exactly
-            virtual = total - seg
-            comp[start:stop] += (seg - (total - virtual)) + (u - virtual)
-            y[start:stop] = total
-            positive = not positive
-    return y + comp
+    sums, corrections = _product(x)
+    return sums + corrections
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Pivoted LU factors of an assembled sign matrix plus pivot diagnostics."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-    min_pivot: float
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Back-substitute one right-hand side through the factors."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.shape != (self.n,):
-            raise DimensionMismatch(
-                f"expected a vector of length {self.n}, got shape {rhs.shape}"
-            )
-        return lu_solve((self.lu, self.piv), rhs, check_finite=False)
-
-
-def factorize(matrix: np.ndarray, pivot_tolerance: float | None = None) -> Factorization:
-    """LU-factorize a square matrix in place with partial row pivoting.
-
-    The smallest pivot magnitude |U_kk| is recorded; if it falls below
-    pivot_tolerance (default 1e-12 * n * max|entry|), SingularSystem is
-    raised carrying the first offending 1-based pivot position.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {matrix.shape}")
-    n = matrix.shape[0]
-    if pivot_tolerance is None:
-        pivot_tolerance = 1e-12 * n * float(np.max(np.abs(matrix)))
-    with warnings.catch_warnings():
-        # LAPACK flags exact-zero pivots with a warning; the tolerance
-        # check below is the single authority on singularity.
-        warnings.simplefilter("ignore")
-        lu, piv = lu_factor(matrix, overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    min_pivot = float(pivots.min())
-    if min_pivot < pivot_tolerance:
-        k = int(np.argmax(pivots < pivot_tolerance))
-        raise SingularSystem(k + 1, float(pivots[k]), pivot_tolerance)
-    return Factorization(lu, piv, min_pivot)
-
-
-def _refine(
-    fact: Factorization,
-    pattern: SignPattern,
-    rhs: np.ndarray,
-    x: np.ndarray,
-    steps: int,
-) -> tuple[np.ndarray, float, int]:
-    """Iterative refinement against the matrix-free residual.
-
-    Runs at most `steps` corrections, stopping early only on an exactly
-    zero residual. Returns (solution, final residual inf-norm, steps used).
-    """
-    residual = rhs - apply_sign_matrix(pattern, x)
-    norm = float(np.max(np.abs(residual)))
-    used = 0
-    for _ in range(steps):
-        if norm == 0.0:
-            break
-        x = x + fact.solve(residual)
-        used += 1
-        residual = rhs - apply_sign_matrix(pattern, x)
-        norm = float(np.max(np.abs(residual)))
-    return x, norm, used
-
-
-def solve(
-    pattern: SignPattern,
-    rhs: np.ndarray,
-    options: SolverOptions | None = None,
-) -> tuple[np.ndarray, SolveReport]:
+def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """Solve sign_matrix @ c = rhs.
 
-    Assembles the dense matrix, factorizes with partial pivoting, then runs
-    the configured refinement steps, each feeding the matrix-free residual
-    back through the factors. The reported residual_inf_norm is recomputed
-    matrix-free after the last step. Deterministic for fixed inputs and
-    options, whatever thread count the BLAS uses.
+    Forward substitution on the differenced system, then one refinement
+    step that feeds the residual back through the substitution; the step is
+    skipped when the residual is exactly zero. The reported residual is
+    recomputed with apply_sign_matrix afterwards. Deterministic for fixed
+    inputs.
     """
-    if options is None:
-        options = SolverOptions()
     n = pattern.n
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (n,):
@@ -218,13 +169,20 @@ def solve(
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite values")
     t0 = time.perf_counter()
-    a = assemble_dense(pattern, options.max_n_dense)
-    fact = factorize(a, options.pivot_tolerance)
-    x = fact.solve(rhs)
-    x, residual_norm, used = _refine(fact, pattern, rhs, x, options.refinement_steps)
+    x = _substitute(rhs)
+    # The residual comes from the unrounded product: rounding A @ x to
+    # doubles first would limit the correction to the spacing of the series
+    # values, leaving about 40% of coefficients more than half an ulp off.
+    sums, corrections = _product(x)
+    residual = (rhs - sums) - corrections
+    used = 0
+    if np.any(residual):
+        x = x + _substitute(residual)
+        used = 1
+    residual = rhs - apply_sign_matrix(pattern, x)
     report = SolveReport(
-        min_pivot=fact.min_pivot,
-        residual_inf_norm=residual_norm,
+        min_pivot=1.0,
+        residual_inf_norm=float(np.max(np.abs(residual))),
         refinement_steps_used=used,
         elapsed_seconds=time.perf_counter() - t0,
     )

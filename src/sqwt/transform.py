@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linsolve import SolveReport, SolverOptions, apply_sign_matrix, solve
+from .linsolve import SolveReport, apply_sign_matrix, solve
 from .waves import GridSpec, SignPattern
 
 
@@ -106,24 +106,22 @@ class ReconstructionReport:
     rms_error: float
 
 
-def forward(
-    series: TimeSeries, options: SolverOptions | None = None
-) -> tuple[Spectrum, SolveReport]:
+def forward(series: TimeSeries) -> tuple[Spectrum, SolveReport]:
     """Decompose a series into its dyad spectrum by solving the sign system.
 
     The returned coefficients satisfy the per-subinterval signed sums up to
     the residual recorded in the SolveReport.
     """
     pattern = SignPattern(series.grid.n)
-    coefficients, report = solve(pattern, series.values, options)
+    coefficients, report = solve(pattern, series.values)
     return Spectrum(series.grid, coefficients, series.unit), report
 
 
 def inverse(spectrum: Spectrum) -> TimeSeries:
     """Rebuild the series from a spectrum.
 
-    Each sample is the signed sum of all coefficients, accumulated in
-    ascending train order; the output is bit-reproducible.
+    Each sample is the signed sum of all coefficients, computed by
+    apply_sign_matrix in a fixed order; the output is bit-reproducible.
     """
     pattern = SignPattern(spectrum.grid.n)
     values = apply_sign_matrix(pattern, spectrum.coefficients)

@@ -126,8 +126,7 @@ class SignPattern:
     """The n-by-n arrangement of train signs, computed on demand.
 
     Entry (i, j) is the sign of train j at subinterval i. Nothing beyond n
-    is stored, so patterns stay cheap at any size; dense materialization
-    is the solver's decision.
+    is stored, so patterns stay cheap at any size.
     """
 
     n: int

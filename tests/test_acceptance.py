@@ -2,8 +2,8 @@
 
 Each test prints one `ACCEPTANCE <k> ...: PASS` line when it succeeds
 (visible under `pytest -s` or `-rA`); a failing criterion shows up as an
-ordinary pytest failure. The long-running full-scale job (n = 10,000) is
-opt-in: set SQWT_FULL_SCALE=1.
+ordinary pytest failure. Criterion 4b runs the paper's full-scale job
+(n = 10,000).
 """
 
 import os
@@ -12,7 +12,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 import sqwt
 from sqwt import (
@@ -29,7 +28,7 @@ from sqwt import (
 )
 from sqwt.fileio import read_series_values
 
-from oracles import run_length_sign, solve_sign_system_exact
+from oracles import exact_determinant, run_length_sign, sign_matrix, solve_sign_system_exact
 
 PAPER_VALUES = np.array([84.0, -152.0, 63.0, 98.0, -35.0, 0.0, 145.0, -14.0])
 PAPER_COEFFS = np.array([170.5, -38.5, -100.5, -135.5, 195.0, -135.5, 10.5, 118.0])
@@ -92,10 +91,6 @@ def test_criterion_4_scaled_generated_experiment():
           f"(max err {report.max_abs_error:.2e} <= 1e-9, {elapsed:.1f}s < 30s): PASS")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("SQWT_FULL_SCALE"),
-    reason="minutes-scale job; set SQWT_FULL_SCALE=1 to run",
-)
 def test_criterion_4_full_scale_ten_thousand():
     t0 = time.perf_counter()
     grid = GridSpec.from_sampling_rate(10000, 2000.0)
@@ -138,9 +133,17 @@ def test_criterion_7_nonsingularity_sweep():
     rng = np.random.default_rng(70)
     for n in range(1, 513):
         rhs = rng.uniform(-100.0, 100.0, n)
-        _, report = solve(SignPattern(n), rhs)  # SingularSystem would propagate
+        _, report = solve(SignPattern(n), rhs)
         assert report.min_pivot > 0.0
     print("\nACCEPTANCE 7 nonsingularity sweep n=1..512: PASS")
+
+
+def test_criterion_7_exact_determinant():
+    # differencing rows is unimodular and leaves a triangular system with
+    # n - 1 diagonal entries of -2 and one of 1
+    for n in range(1, 13):
+        assert abs(exact_determinant(sign_matrix(n))) == 2 ** (n - 1), n
+    print("\nACCEPTANCE 7b exact |det A_n| = 2^(n-1) for n=1..12: PASS")
 
 
 def test_criterion_8_byte_identical_outputs(tmp_path):

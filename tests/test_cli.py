@@ -73,13 +73,16 @@ class TestAnalyze:
                          "--out", out)
         assert result.returncode == 2
 
-    def test_cap_exceeded_exit_4(self, tmp_path):
+    def test_above_former_dense_cap_exit_0(self, tmp_path):
+        # n = 20,000 was refused with exit 4; the removed SQWT_MAX_N_DENSE
+        # variable is set to show that it is ignored
         series = tmp_path / "series.csv"
-        write_series_values(series, np.ones(32))
-        result = run_cli("analyze", str(series), "--fs", "32",
+        write_series_values(series, np.random.default_rng(4).uniform(-100, 100, 20_000))
+        result = run_cli("analyze", str(series), "--fs", "2000",
                          "--out", str(tmp_path / "s.json"),
                          env={"SQWT_MAX_N_DENSE": "16"})
-        assert result.returncode == 4
+        assert result.returncode == 0, result.stderr
+        assert read_spectrum(tmp_path / "s.json").n == 20_000
 
 
 class TestReconstruct:
@@ -151,13 +154,15 @@ class TestBench:
 
     def test_residuals_within_gate_at_larger_sizes(self, capsys):
         assert main(["bench", "--sizes", "256,1024"]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
+        header, *rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2
-        residuals = [float(row.split()[4]) for row in rows]
+        column = header.split().index("residual_inf")
+        residuals = [float(row.split()[column]) for row in rows]
         assert all(r <= 1e-9 for r in residuals)
 
-    def test_cap_exit_4(self):
-        assert main(["bench", "--sizes", "20000"]) == 4
+    def test_above_former_cap_exit_0(self, capsys):
+        assert main(["bench", "--sizes", "20000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "20000"
 
     def test_bad_sizes_exit_2(self):
         assert main(["bench", "--sizes", "16,frog"]) == 2

@@ -1,27 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqwt import (
-    CapExceeded,
-    DimensionMismatch,
-    SignPattern,
-    SingularSystem,
-    SolverOptions,
-    apply_sign_matrix,
-    assemble_dense,
-    default_max_n_dense,
-    factorize,
-    solve,
-)
-from sqwt.linsolve import DEFAULT_MAX_N_DENSE, MAX_N_DENSE_ENV
+from sqwt import DimensionMismatch, SignPattern, apply_sign_matrix, solve
 
-from oracles import solve_sign_system_exact
+import oracles
+from oracles import solve_sign_system_exact, solve_sign_system_sieve
 
 PAPER_VALUES = np.array([84.0, -152.0, 63.0, 98.0, -35.0, 0.0, 145.0, -14.0])
 PAPER_COEFFS = np.array([170.5, -38.5, -100.5, -135.5, 195.0, -135.5, 10.5, 118.0])
 
 
+def assemble_dense(pattern):
+    """The matrix apply_sign_matrix represents, assembled one unit vector per column."""
+    return np.column_stack([apply_sign_matrix(pattern, e) for e in np.eye(pattern.n)])
+
+
 class TestAssembleDense:
+    """The operator's columns are exactly the trains' sign sequences."""
+
     def test_n2(self):
         a = assemble_dense(SignPattern(2))
         assert np.array_equal(a, [[1.0, 1.0], [1.0, -1.0]])
@@ -45,28 +43,6 @@ class TestAssembleDense:
         a = assemble_dense(SignPattern(7))
         assert a.dtype == np.float64 and a.shape == (7, 7)
 
-    def test_cap_enforced(self):
-        with pytest.raises(CapExceeded) as err:
-            assemble_dense(SignPattern(13), max_n_dense=12)
-        assert err.value.n == 13 and err.value.max_n_dense == 12
-
-    def test_default_cap(self):
-        assert default_max_n_dense() == DEFAULT_MAX_N_DENSE
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MAX_N_DENSE_ENV, "64")
-        assert default_max_n_dense() == 64
-        with pytest.raises(CapExceeded):
-            assemble_dense(SignPattern(65))
-
-    def test_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(MAX_N_DENSE_ENV, "lots")
-        with pytest.raises(ValueError):
-            default_max_n_dense()
-        monkeypatch.setenv(MAX_N_DENSE_ENV, "0")
-        with pytest.raises(ValueError):
-            default_max_n_dense()
-
 
 class TestApplySignMatrix:
     def test_paper_coefficients_reproduce_values(self):
@@ -84,17 +60,17 @@ class TestApplySignMatrix:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 33, 64])
     def test_equals_dense_multiply_exactly_on_integer_vectors(self, n):
         # integer-valued inputs keep every summation order exact, so the
-        # matrix-free path and BLAS must agree bit for bit
+        # divisor recurrence and a dense product must agree bit for bit
         rng = np.random.default_rng(n)
         x = rng.integers(-8, 9, n).astype(np.float64)
-        a = assemble_dense(SignPattern(n))
+        a = np.array(oracles.sign_matrix(n))
         assert np.array_equal(apply_sign_matrix(SignPattern(n), x), a @ x)
 
     @pytest.mark.parametrize("n", [5, 21, 64])
     def test_close_to_dense_multiply_on_float_vectors(self, n):
         rng = np.random.default_rng(100 + n)
         x = rng.uniform(-100, 100, n)
-        a = assemble_dense(SignPattern(n))
+        a = np.array(oracles.sign_matrix(n))
         assert np.allclose(apply_sign_matrix(SignPattern(n), x), a @ x,
                            rtol=0, atol=1e-10)
 
@@ -110,34 +86,12 @@ class TestApplySignMatrix:
         assert np.array_equal(first, second)
 
 
-class TestFactorize:
-    def test_identity(self):
-        fact = factorize(np.eye(4))
-        assert fact.min_pivot == 1.0
-
-    def test_singular_matrix_reports_pivot_index(self):
-        with pytest.raises(SingularSystem) as err:
-            factorize(np.ones((3, 3)))
-        assert err.value.pivot_index in (2, 3)
-        assert err.value.pivot < err.value.tolerance
-
-    def test_explicit_tolerance(self):
-        a = np.diag([1.0, 1e-3])
-        factorize(a.copy(), pivot_tolerance=1e-4)
-        with pytest.raises(SingularSystem):
-            factorize(a.copy(), pivot_tolerance=1e-2)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            factorize(np.ones((2, 3)))
-
-
 class TestSolve:
     def test_paper_system(self):
         x, report = solve(SignPattern(8), PAPER_VALUES)
         assert np.allclose(x, PAPER_COEFFS, rtol=0, atol=1e-12)
         assert report.residual_inf_norm <= 1e-12
-        assert report.min_pivot > 0
+        assert report.min_pivot == 1.0
         assert report.elapsed_seconds > 0
 
     def test_n1(self):
@@ -161,14 +115,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(SignPattern(3), np.array([1.0, np.nan, 0.0]))
 
-    def test_cap_respected(self):
-        with pytest.raises(CapExceeded):
-            solve(SignPattern(9), np.zeros(9), SolverOptions(max_n_dense=8))
-
     def test_zero_refinement_steps_allowed(self):
-        x, report = solve(SignPattern(8), PAPER_VALUES, SolverOptions(refinement_steps=0))
+        # the first substitution reproduces the paper series exactly, so the
+        # refinement step is skipped
+        x, report = solve(SignPattern(8), PAPER_VALUES)
         assert report.refinement_steps_used == 0
-        assert np.allclose(x, PAPER_COEFFS, rtol=0, atol=1e-10)
+        assert report.residual_inf_norm == 0.0
+        assert np.array_equal(x, PAPER_COEFFS)
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(11)
@@ -184,23 +137,32 @@ class TestSolve:
         _, report = solve(SignPattern(n), rhs)
         assert report.residual_inf_norm <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_matches_exact_sieve_oracle_at_scale(self, n):
+        rhs = np.random.default_rng(n).uniform(-99.99999, 99.99999, n)
+        x, _ = solve(SignPattern(n), rhs)
+        exact = np.array([float(c) for c in solve_sign_system_sieve(n, rhs)])
+        assert np.max(np.abs(x - exact)) <= 1e-10
+        assert np.mean(x == exact) >= 0.99  # correctly rounded coefficients
 
-class TestSolverOptions:
-    def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.pivot_tolerance is None
-        assert opts.refinement_steps == 2
-        assert opts.max_n_dense is None
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"pivot_tolerance": 0.0},
-            {"pivot_tolerance": -1e-9},
-            {"refinement_steps": -1},
-            {"max_n_dense": 0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverOptions(**kwargs)
+class TestClosedForms:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300),
+           a=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_constant_series_is_train_one(self, n, a):
+        x, _ = solve(SignPattern(n), np.full(n, a))
+        assert np.array_equal(x, np.r_[a, np.zeros(n - 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300),
+           a=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_alternating_series_is_train_n(self, n, a):
+        rhs = np.where(np.arange(n) % 2, -a, a)
+        x, _ = solve(SignPattern(n), rhs)
+        assert np.array_equal(x, np.r_[np.zeros(n - 1), a])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sieve_oracle_matches_elimination_oracle(self, n):
+        rhs = np.random.default_rng(n).uniform(-100, 100, n)
+        assert solve_sign_system_sieve(n, rhs) == solve_sign_system_exact(n, rhs)
