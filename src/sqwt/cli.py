@@ -2,7 +2,8 @@
 
 The solver is single-threaded and deterministic, so --threads is accepted
 and validated for compatibility with existing scripts but changes nothing.
-Exit codes: 0 success, 2 bad flags or unparsable input.
+Exit codes: 0 success, 2 bad flags, unparsable input or values whose
+transform overflows float64.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (FileFormatError, ValueError) as exc:
+    except (FileFormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

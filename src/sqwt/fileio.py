@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,49 @@ from .transform import ReconstructionReport, Spectrum
 from .waves import GridSpec
 
 _FREQ_SANITY_REL_TOL = 1e-6
+# records or rows handled per block by the reader and the writers; bounds
+# their scratch memory at any n
+_BLOCK = 1 << 14
+# six-decimal display form of a dyad; holds only digits, '-', '.', ';', ' '
+# and parentheses, so it needs no JSON escaping
+_DISPLAY = "(%.6f; %.6f)"
+# one dyad record laid out as json.dumps(doc, indent=2) lays it out
+_DYAD_RECORD = (
+    '    {\n      "i": %d,\n      "f_hz": %r,\n      "c": %r,\n'
+    f'      "display": "{_DISPLAY}"\n    }}'
+)
+_RECORD_KEYS = ("i", "f_hz", "c")
+
+
+def _write_rows(path, columns, template: str, sep: str, head: str = "", tail: str = "\n") -> None:
+    """Write head, `template % row` for each row of the columns joined by sep, then tail.
+
+    Rows go through `.tolist()` in blocks of _BLOCK, so floats print in
+    shortest round-trip form and memory stays bounded however long the
+    columns are.
+    """
+    n = len(columns[0])
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(head)
+        for start in range(0, n, _BLOCK):
+            if start:
+                out.write(sep)
+            block = [column[start : start + _BLOCK].tolist() for column in columns]
+            out.write(sep.join([template % row for row in zip(*block)]))
+        out.write(tail)
+
+
+def _number_fault(v, what: str, positive: bool = False) -> str | None:
+    """Why v is not a finite (and, if asked, positive) JSON number; None when it is one."""
+    kind = "a positive finite number" if positive else "a finite number"
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:
+            return f"{what} must be {kind}, got an integer of {len(str(abs(v)))} digits"
+        if math.isfinite(x) and (x > 0 or not positive):
+            return None
+    return f"{what} must be {kind}, got {v!r}"
 
 
 def read_series_values(path) -> np.ndarray:
@@ -58,40 +102,98 @@ def read_series_values(path) -> np.ndarray:
 
 def write_series_values(path, values) -> None:
     """Write one value per line in shortest round-trip decimal form."""
-    lines = [repr(float(v)) for v in np.asarray(values, dtype=np.float64)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, [np.asarray(values, dtype=np.float64)], "%r", "\n")
 
 
 def format_dyad_display(frequency: float, coefficient: float) -> str:
     """Six-decimal display form of one dyad, e.g. '(0.250000; 170.500000)'."""
-    return f"({frequency:.6f}; {coefficient:.6f})"
+    return _DISPLAY % (frequency, coefficient)
 
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    """Serialize a spectrum as JSON with full-precision numbers."""
+    """Serialize a spectrum as JSON with full-precision numbers.
+
+    The bytes are those of `json.dumps(doc, indent=2) + "\\n"`; the header
+    scalars go through json.dumps and the dyad records are formatted
+    directly.
+    """
+    grid = spectrum.grid
+    head = "{\n" + "".join(
+        f'  "{key}": {json.dumps(value)},\n'
+        for key, value in (
+            ("n", grid.n), ("delta_t_s", grid.delta_t), ("f_s_hz", grid.f_s),
+            ("unit", spectrum.unit),
+        )
+    ) + '  "dyads": [\n'
     freqs = spectrum.frequencies
     coeffs = spectrum.coefficients
-    doc = {
-        "n": spectrum.grid.n,
-        "delta_t_s": spectrum.grid.delta_t,
-        "f_s_hz": spectrum.grid.f_s,
-        "unit": spectrum.unit,
-        "dyads": [
-            {
-                "i": i + 1,
-                "f_hz": float(freqs[i]),
-                "c": float(coeffs[i]),
-                "display": format_dyad_display(float(freqs[i]), float(coeffs[i])),
-            }
-            for i in range(spectrum.grid.n)
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    columns = [np.arange(1, grid.n + 1), freqs, coeffs, freqs, coeffs]
+    _write_rows(path, columns, _DYAD_RECORD, ",\n", head, "\n  ]\n}\n")
 
 
 def _require(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise FileFormatError(path, message)
+
+
+def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
+    """The message for the first check that record `pos` (0-based) fails; None if it passes."""
+    if not isinstance(rec, dict):
+        return f"dyad record {pos + 1} must be an object"
+    for key in _RECORD_KEYS:
+        if key not in rec:
+            return f"dyad record {pos + 1} missing field {key!r}"
+    i = rec["i"]
+    if not (isinstance(i, int) and not isinstance(i, bool) and i == pos + 1):
+        return f"dyad indices must ascend 1..{n}; record {pos + 1} has i={i!r}"
+    for key in ("f_hz", "c"):
+        fault = _number_fault(rec[key], f"dyad {i}: {key}")
+        if fault is not None:
+            return fault
+    f = float(rec["f_hz"])
+    if not abs(f - f_expected) <= _FREQ_SANITY_REL_TOL * f_expected:
+        return (f"dyad {i}: frequency {f!r} does not match the grid "
+                f"(expected {f_expected!r})")
+    return None
+
+
+def _float_column(values: list) -> np.ndarray | None:
+    """A list of JSON ints and floats as a finite float64 array; None if any is not one."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        column = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return column if np.all(np.isfinite(column)) else None
+
+
+def _coefficient_column(records: list, expected_freqs: np.ndarray) -> np.ndarray | None:
+    """The `c` column when every record passes `_record_fault`, else None.
+
+    The same checks as whole-column operations over blocks of _BLOCK
+    records: the three fields are pulled out once, and no message is built.
+    """
+    coefficients = np.empty(len(records))
+    for start in range(0, len(records), _BLOCK):
+        block = records[start : start + _BLOCK]
+        try:
+            i_col, f_col, c_col = (list(map(itemgetter(key), block)) for key in _RECORD_KEYS)
+        except (TypeError, KeyError):  # a record that is not an object, or lacks a field
+            return None
+        if set(map(type, i_col)) != {int} or not all(
+            map(eq, i_col, range(start + 1, start + len(block) + 1))
+        ):
+            return None
+        freqs = _float_column(f_col)
+        c = _float_column(c_col)
+        if freqs is None or c is None:
+            return None
+        expected = expected_freqs[start : start + len(block)]
+        if not np.all(np.abs(freqs - expected) <= _FREQ_SANITY_REL_TOL * expected):
+            return None
+        coefficients[start : start + len(block)] = c
+    return coefficients
 
 
 def read_spectrum(path) -> Spectrum:
@@ -108,7 +210,7 @@ def read_spectrum(path) -> Spectrum:
         raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise FileFormatError(str(path), f"not valid JSON: {exc}") from None
     p = str(path)
     _require(isinstance(doc, dict), p, "top level must be a JSON object")
@@ -118,51 +220,34 @@ def read_spectrum(path) -> Spectrum:
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
              p, f"n must be a positive integer, got {n!r}")
     for key in ("delta_t_s", "f_s_hz"):
-        v = doc[key]
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v) and v > 0,
-                 p, f"{key} must be a positive finite number, got {v!r}")
+        fault = _number_fault(doc[key], key, positive=True)
+        _require(fault is None, p, fault)
     _require(isinstance(doc["unit"], str), p, "unit must be a string")
     try:
         grid = GridSpec(n, float(doc["delta_t_s"]), float(doc["f_s_hz"]))
     except ValueError as exc:
         raise FileFormatError(p, str(exc)) from None
+    except OverflowError:  # the consistency check cannot turn n into a float
+        raise FileFormatError(
+            p, f"n must be a positive integer, got an integer of {len(str(n))} digits"
+        ) from None
     records = doc["dyads"]
     _require(isinstance(records, list), p, "dyads must be an array")
     _require(len(records) == n, p, f"expected {n} dyad records, found {len(records)}")
-    coefficients = np.empty(n, dtype=np.float64)
     spans = np.arange(n, 0, -1, dtype=np.float64)
     expected_freqs = grid.f_s / (2.0 * spans)
-    for pos, rec in enumerate(records):
-        _require(isinstance(rec, dict), p, f"dyad record {pos + 1} must be an object")
-        for key in ("i", "f_hz", "c"):
-            _require(key in rec, p, f"dyad record {pos + 1} missing field {key!r}")
-        i = rec["i"]
-        _require(isinstance(i, int) and not isinstance(i, bool) and i == pos + 1,
-                 p, f"dyad indices must ascend 1..{n}; record {pos + 1} has i={i!r}")
-        for key in ("f_hz", "c"):
-            v = rec[key]
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     and math.isfinite(v),
-                     p, f"dyad {i}: {key} must be a finite number, got {v!r}")
-        f = float(rec["f_hz"])
-        f_expected = float(expected_freqs[pos])
-        _require(abs(f - f_expected) <= _FREQ_SANITY_REL_TOL * f_expected,
-                 p, f"dyad {i}: frequency {f!r} does not match the grid "
-                    f"(expected {f_expected!r})")
-        coefficients[pos] = float(rec["c"])
+    coefficients = _coefficient_column(records, expected_freqs)
+    if coefficients is None:
+        # some record fails; name the first one and its first failed check
+        for pos, rec in enumerate(records):
+            fault = _record_fault(pos, rec, n, float(expected_freqs[pos]))
+            _require(fault is None, p, fault)
     return Spectrum(grid, coefficients, doc["unit"])
 
 
 def write_plotdata(path, spectrum: Spectrum) -> None:
     """Write a two-column CSV of (frequency, coefficient), one dyad per line."""
-    freqs = spectrum.frequencies
-    coeffs = spectrum.coefficients
-    lines = [
-        f"{repr(float(freqs[i]))},{repr(float(coeffs[i]))}"
-        for i in range(spectrum.grid.n)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, [spectrum.frequencies, spectrum.coefficients], "%r,%r", "\n")
 
 
 def write_report(path, report: ReconstructionReport) -> None:
@@ -172,4 +257,4 @@ def write_report(path, report: ReconstructionReport) -> None:
         "index_of_max": report.index_of_max,
         "rms_error": report.rms_error,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")

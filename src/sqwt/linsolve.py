@@ -143,14 +143,21 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     then a compensated prefix sum. The order of operations is fixed, so the
     result is bit-reproducible, exact on integer vectors, and free of the
     rounding drift a plain running sum would pick up (coefficients can
-    dwarf the series values by orders of magnitude).
+    dwarf the series values by orders of magnitude). Raises OverflowError
+    when a finite x gives a product beyond the float64 range.
     """
     n = pattern.n
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise DimensionMismatch(f"expected a vector of length {n}, got shape {x.shape}")
-    sums, corrections = _product(x)
-    return sums + corrections
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, corrections = _product(x)
+        product = sums + corrections
+    if not np.all(np.isfinite(product)) and np.all(np.isfinite(x)):
+        raise OverflowError(
+            f"sign-matrix product overflows float64 (max |x| = {np.max(np.abs(x)):.3e})"
+        )
+    return product
 
 
 def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
@@ -160,7 +167,8 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
     step that feeds the residual back through the substitution; the step is
     skipped when the residual is exactly zero. The reported residual is
     recomputed with apply_sign_matrix afterwards. Deterministic for fixed
-    inputs.
+    inputs. Raises OverflowError when the coefficients leave the float64
+    range, which takes series values near its limit.
     """
     n = pattern.n
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -169,16 +177,23 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite values")
     t0 = time.perf_counter()
-    x = _substitute(rhs)
-    # The residual comes from the unrounded product: rounding A @ x to
-    # doubles first would limit the correction to the spacing of the series
-    # values, leaving about 40% of coefficients more than half an ulp off.
-    sums, corrections = _product(x)
-    residual = (rhs - sums) - corrections
-    used = 0
-    if np.any(residual):
-        x = x + _substitute(residual)
-        used = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _substitute(rhs)
+        # The residual comes from the unrounded product: rounding A @ x to
+        # doubles first would limit the correction to the spacing of the
+        # series values, leaving about 40% of coefficients more than half an
+        # ulp off.
+        sums, corrections = _product(x)
+        residual = (rhs - sums) - corrections
+        used = 0
+        if np.any(residual):
+            x = x + _substitute(residual)
+            used = 1
+    if not np.all(np.isfinite(x)):
+        raise OverflowError(
+            f"coefficients overflow float64 (max |V| = {np.max(np.abs(rhs)):.3e}); "
+            "scale the series down"
+        )
     residual = rhs - apply_sign_matrix(pattern, x)
     report = SolveReport(
         min_pivot=1.0,

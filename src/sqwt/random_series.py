@@ -21,12 +21,26 @@ _GAMMA = 0x9E3779B97F4A7C15
 # largest multiple of 10 that fits in 64 bits; draws at or above it would
 # make digits 0..5 slightly more likely than 6..9
 _REJECT_ABOVE = (1 << 64) - ((1 << 64) % 10)
+# values per vectorised block in `generate`; bounds its scratch memory to a
+# few arrays of 8 * _BLOCK draws
+_BLOCK = 1 << 14
+# weights of digits 2-8 in the scaled magnitude (value * 100000)
+_DIGIT_WEIGHTS = np.array([1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int64)
 
 
 def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """`_mix64` of every element of a uint64 array, in place; uint64 wraps mod 2**64."""
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class DigitStream:
@@ -49,6 +63,24 @@ class DigitStream:
             z = _mix64(self._state)
             if z < _REJECT_ABOVE:
                 return z % 10
+
+    def _digits(self, count: int) -> np.ndarray:
+        """The next `count` digits as an int64 array, exactly as `next_digit` would give them.
+
+        Draw k from the current state mixes state + k * gamma; rejected draws
+        are dropped and the shortfall is drawn from the following counters.
+        """
+        parts = []
+        while count:
+            k = np.arange(1, count + 1, dtype=np.uint64)
+            k *= np.uint64(_GAMMA)
+            k += np.uint64(self._state)
+            self._state = (self._state + count * _GAMMA) & _MASK64
+            z = _mix64_array(k)
+            accepted = z[z < np.uint64(_REJECT_ABOVE)]
+            parts.append((accepted % np.uint64(10)).astype(np.int64))
+            count -= len(accepted)
+        return np.concatenate(parts)
 
 
 def next_value(stream) -> float:
@@ -81,14 +113,28 @@ class GeneratedSeries:
     seed: int
 
 
+def _values_from_digits(d: np.ndarray) -> np.ndarray:
+    """`next_value` over the rows of an (m, 8) digit array."""
+    scaled = d[:, 1:] @ _DIGIT_WEIGHTS
+    values = scaled / 100000.0
+    np.negative(values, out=values, where=(d[:, 0] <= 4) & (scaled != 0))
+    return values
+
+
 def generate(seed: int, n: int, grid: GridSpec) -> GeneratedSeries:
-    """Draw n consecutive values from a fresh DigitStream(seed) on the grid."""
+    """Draw n consecutive values from a fresh DigitStream(seed) on the grid.
+
+    The values equal n calls of `next_value` on the stream; they are drawn
+    in vectorised blocks of at most _BLOCK values.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
     if grid.n != n:
         raise DimensionMismatch(f"grid is sized for {grid.n} samples, requested {n}")
     stream = DigitStream(seed)
-    values = np.fromiter(
-        (next_value(stream) for _ in range(n)), dtype=np.float64, count=n
-    )
+    values = np.empty(n, dtype=np.float64)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        digits = stream._digits(8 * (stop - start)).reshape(-1, 8)
+        values[start:stop] = _values_from_digits(digits)
     return GeneratedSeries(TimeSeries(values, grid), stream.seed)

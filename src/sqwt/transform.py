@@ -7,6 +7,7 @@ the signed sum of all coefficients per subinterval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +135,8 @@ def reconstruction_report(
     """Compare two series on the same grid sample by sample.
 
     Reports the largest absolute deviation, the smallest 1-based index where
-    it occurs, and the root-mean-square deviation.
+    it occurs, and the root-mean-square deviation. The rms is finite whenever
+    the deviations are, even where their squares overflow.
     """
     if original.grid != reconstructed.grid:
         raise DimensionMismatch(
@@ -142,8 +144,12 @@ def reconstruction_report(
         )
     diff = np.abs(original.values - reconstructed.values)
     k = int(np.argmax(diff))  # argmax returns the first maximizer
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(np.square(diff))))
+    if math.isinf(rms):  # the squares overflowed: scale by the largest deviation
+        rms = float(diff[k] * np.sqrt(np.mean(np.square(diff / diff[k]))))
     return ReconstructionReport(
         max_abs_error=float(diff[k]),
         index_of_max=k + 1,
-        rms_error=float(np.sqrt(np.mean(np.square(diff)))),
+        rms_error=rms,
     )

@@ -85,6 +85,52 @@ class TestAnalyze:
         assert read_spectrum(tmp_path / "s.json").n == 20_000
 
 
+class TestOverflow:
+    def _series(self, tmp_path, values):
+        path = tmp_path / "huge.csv"
+        write_series_values(path, values)
+        return path
+
+    def test_huge_series_report_is_strict_json(self, tmp_path):
+        values = np.random.default_rng(3).choice([-1.0, 1.0], 10) * 1e307
+        report = tmp_path / "report.json"
+        result = run_cli("analyze", str(self._series(tmp_path, values)), "--fs", "10",
+                         "--out", str(tmp_path / "s.json"), "--report", str(report))
+        assert result.returncode == 0, result.stderr
+        assert "Warning" not in result.stderr
+
+        def refuse(literal):
+            raise AssertionError(f"{literal} in report")
+
+        doc = json.loads(report.read_text(), parse_constant=refuse)
+        assert np.isfinite(doc["rms_error"]) and doc["rms_error"] <= doc["max_abs_error"]
+
+    def test_coefficient_overflow_exit_2(self, tmp_path):
+        values = np.random.default_rng(3).uniform(-1.0, 1.0, 200) * 1.7e308
+        result = run_cli("analyze", str(self._series(tmp_path, values)), "--fs", "10",
+                         "--out", str(tmp_path / "s.json"))
+        assert result.returncode == 2
+        assert "coefficients overflow float64" in result.stderr
+        assert "Warning" not in result.stderr and "non-finite" not in result.stderr
+
+    def test_reconstruction_overflow_exit_2(self, tmp_path):
+        spectrum = tmp_path / "s.json"
+        write_spectrum(spectrum, Spectrum(GridSpec.from_duration(4, 1.0), [1e308] * 4))
+        result = run_cli("reconstruct", str(spectrum), "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "product overflows float64" in result.stderr
+        assert "Warning" not in result.stderr
+
+    def test_oversized_literal_in_spectrum_exit_2(self, tmp_path):
+        spectrum = tmp_path / "s.json"
+        write_spectrum(spectrum, Spectrum(GridSpec.from_duration(2, 1.0), [1.5, 2.5]))
+        spectrum.write_text(spectrum.read_text().replace('"c": 2.5', '"c": 1' + "0" * 399))
+        result = run_cli("reconstruct", str(spectrum), "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2
+        assert "dyad 2: c must be a finite number" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestReconstruct:
     def test_paper_round_trip(self, tmp_path, paper_file):
         spectrum_path = tmp_path / "spectrum.json"

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from sqwt import FileFormatError, GridSpec, Spectrum
+from sqwt import FileFormatError, GridSpec, Spectrum, fileio
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -181,6 +182,205 @@ class TestSpectrumFiles:
             read_spectrum(path)
 
 
+def reference_spectrum_text(spectrum):
+    """The spectrum document as `json.dumps(doc, indent=2)` writes it."""
+    freqs = spectrum.frequencies
+    coeffs = spectrum.coefficients
+    doc = {
+        "n": spectrum.grid.n,
+        "delta_t_s": spectrum.grid.delta_t,
+        "f_s_hz": spectrum.grid.f_s,
+        "unit": spectrum.unit,
+        "dyads": [
+            {
+                "i": i + 1,
+                "f_hz": float(freqs[i]),
+                "c": float(coeffs[i]),
+                "display": format_dyad_display(float(freqs[i]), float(coeffs[i])),
+            }
+            for i in range(spectrum.grid.n)
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def random_spectrum(n, seed=0, unit=""):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1e4, 1e4, n) * 10.0 ** rng.integers(-20, 20, n)
+    coeffs[: min(n, 3)] = [0.0, -0.0, 1e16][: min(n, 3)]
+    return Spectrum(GridSpec.from_sampling_rate(n, 1000.0), coeffs, unit)
+
+
+class TestSpectrumBytes:
+    """write_spectrum formats records directly; its bytes are those of json.dumps."""
+
+    @pytest.mark.parametrize("n", [1, 8, 4000])
+    def test_matches_json_dumps(self, tmp_path, n):
+        spectrum = random_spectrum(n, seed=n)
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        assert path.read_text(encoding="utf-8") == reference_spectrum_text(spectrum)
+
+    def test_non_ascii_unit_escaped_like_json_dumps(self, tmp_path):
+        spectrum = random_spectrum(8, unit="µV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        assert path.read_text(encoding="utf-8") == reference_spectrum_text(spectrum)
+        assert '"unit": "\\u00b5V"' in path.read_text()
+        assert read_spectrum(path).unit == "µV"
+
+    def test_numpy_float_grid_fields(self, tmp_path):
+        grid = GridSpec(8, np.float64(2.0), np.float64(4.0))
+        spectrum = Spectrum(grid, sample_spectrum().coefficients, "mV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_spectrum_text(spectrum)
+        assert '"delta_t_s": 2.0,' in text and "np.float64" not in text
+
+    def test_matches_json_dumps_across_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK", 3)
+        for n in (1, 3, 7):
+            spectrum = random_spectrum(n, seed=n)
+            path = tmp_path / f"spectrum{n}.json"
+            write_spectrum(path, spectrum)
+            assert path.read_text(encoding="utf-8") == reference_spectrum_text(spectrum)
+            assert np.array_equal(read_spectrum(path).coefficients, spectrum.coefficients)
+
+    def test_series_and_plotdata_match_line_formulas(self, tmp_path, monkeypatch):
+        spectrum = random_spectrum(10)
+        freqs, coeffs = spectrum.frequencies, spectrum.coefficients
+        for block in (3, fileio._BLOCK):
+            monkeypatch.setattr(fileio, "_BLOCK", block)
+            write_series_values(tmp_path / "s.csv", coeffs)
+            assert (tmp_path / "s.csv").read_text() == "".join(
+                f"{float(c)!r}\n" for c in coeffs)
+            write_plotdata(tmp_path / "p.csv", spectrum)
+            assert (tmp_path / "p.csv").read_text() == "".join(
+                f"{float(f)!r},{float(c)!r}\n" for f, c in zip(freqs, coeffs))
+
+
+class TestSpectrumRecordFaults:
+    """read_spectrum checks records as columns but names the first bad record."""
+
+    def _doc(self):
+        return json.loads(reference_spectrum_text(sample_spectrum()))
+
+    def _read(self, tmp_path, text):
+        path = tmp_path / "spectrum.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value).startswith(f"{path}: ")
+        return str(err.value)[len(f"{path}: "):]
+
+    def _read_doc(self, tmp_path, mutate):
+        doc = self._doc()
+        mutate(doc)
+        return self._read(tmp_path, json.dumps(doc))
+
+    def _set(self, pos, key, value):
+        def mutate(doc):
+            doc["dyads"][pos][key] = value
+        return mutate
+
+    def test_record_not_an_object(self, tmp_path):
+        message = self._read_doc(tmp_path, lambda d: d["dyads"].__setitem__(2, [3, 0.3, 1.0]))
+        assert message == "dyad record 3 must be an object"
+
+    def test_record_missing_c(self, tmp_path):
+        message = self._read_doc(tmp_path, lambda d: d["dyads"][4].pop("c"))
+        assert message == "dyad record 5 missing field 'c'"
+
+    def test_index_true(self, tmp_path):
+        message = self._read_doc(tmp_path, self._set(0, "i", True))
+        assert message == "dyad indices must ascend 1..8; record 1 has i=True"
+
+    def test_index_float(self, tmp_path):
+        message = self._read_doc(tmp_path, self._set(1, "i", 2.0))
+        assert message == "dyad indices must ascend 1..8; record 2 has i=2.0"
+
+    def test_coefficient_string(self, tmp_path):
+        message = self._read_doc(tmp_path, self._set(3, "c", "1"))
+        assert message == "dyad 4: c must be a finite number, got '1'"
+
+    def test_coefficient_bool(self, tmp_path):
+        message = self._read_doc(tmp_path, self._set(3, "c", False))
+        assert message == "dyad 4: c must be a finite number, got False"
+
+    @pytest.mark.parametrize("literal,shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                               ("-Infinity", "-inf")])
+    def test_non_finite_frequency(self, tmp_path, literal, shown):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"f_hz": 0.4,', f'"f_hz": {literal},')
+        assert self._read(tmp_path, text) == f"dyad 4: f_hz must be a finite number, got {shown}"
+
+    @pytest.mark.parametrize("literal,shown", [("NaN", "nan"), ("-Infinity", "-inf")])
+    def test_non_finite_coefficient(self, tmp_path, literal, shown):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"c": 118.0', f'"c": {literal}')
+        assert self._read(tmp_path, text) == f"dyad 8: c must be a finite number, got {shown}"
+
+    def test_oversized_coefficient_literal(self, tmp_path):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"c": -38.5,', '"c": 1' + "0" * 399 + ",")
+        assert self._read(tmp_path, text) == (
+            "dyad 2: c must be a finite number, got an integer of 400 digits")
+
+    def test_oversized_frequency_literal(self, tmp_path):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"f_hz": 0.4,', '"f_hz": -1' + "0" * 399 + ",")
+        assert self._read(tmp_path, text) == (
+            "dyad 4: f_hz must be a finite number, got an integer of 400 digits")
+
+    def test_oversized_delta_t_literal(self, tmp_path):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"delta_t_s": 2.0,', '"delta_t_s": 1' + "0" * 399 + ",")
+        assert self._read(tmp_path, text) == (
+            "delta_t_s must be a positive finite number, got an integer of 400 digits")
+
+    def test_oversized_n_literal(self, tmp_path):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"n": 8,', '"n": 1' + "0" * 399 + ",")
+        assert self._read(tmp_path, text) == (
+            "n must be a positive integer, got an integer of 400 digits")
+
+    def test_integer_literal_beyond_parser_limit(self, tmp_path):
+        text = reference_spectrum_text(sample_spectrum()).replace(
+            '"c": -38.5,', '"c": 1' + "0" * 5000 + ",")
+        assert self._read(tmp_path, text).startswith("not valid JSON: ")
+
+    def test_in_range_integers_accepted(self, tmp_path):
+        doc = self._doc()
+        doc["dyads"][1]["c"] = 2**70
+        doc["dyads"][7]["c"] = -3
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(doc))
+        coeffs = read_spectrum(path).coefficients
+        assert coeffs[1] == float(2**70) and coeffs[7] == -3.0
+
+    def test_first_bad_record_named(self, tmp_path):
+        def two_faults(doc):
+            doc["dyads"][5]["c"] = None
+            doc["dyads"][2]["f_hz"] *= 1.01
+        message = self._read_doc(tmp_path, two_faults)
+        assert re.fullmatch(r"dyad 3: frequency \S+ does not match the grid \(expected \S+\)",
+                            message)
+
+    def test_first_failed_check_of_a_record_named(self, tmp_path):
+        def two_faults(doc):
+            doc["dyads"][2]["f_hz"] = "x"
+            doc["dyads"][2]["c"] = "y"
+        assert self._read_doc(tmp_path, two_faults) == (
+            "dyad 3: f_hz must be a finite number, got 'x'")
+
+    @pytest.mark.parametrize("pos", [0, 2, 3, 7])
+    def test_fault_in_a_later_block_named(self, tmp_path, monkeypatch, pos):
+        monkeypatch.setattr(fileio, "_BLOCK", 3)
+        message = self._read_doc(tmp_path, self._set(pos, "c", None))
+        assert message == f"dyad {pos + 1}: c must be a finite number, got None"
+
+
 class TestPlotData:
     def test_rows(self, tmp_path):
         path = tmp_path / "plot.csv"
@@ -198,6 +398,10 @@ class TestPlotData:
 
 
 class TestReportFile:
+    def test_non_finite_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "report.json", ReconstructionReport(1.0, 1, float("inf")))
+
     def test_fields(self, tmp_path):
         path = tmp_path / "report.json"
         write_report(path, ReconstructionReport(1.5e-10, 17, 3.25e-11))

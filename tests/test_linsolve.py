@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,20 @@ class TestApplySignMatrix:
         assert np.array_equal(first, second)
 
 
+class TestProductOverflow:
+    def test_overflow_raises_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="product overflows float64"):
+                apply_sign_matrix(SignPattern(4), np.full(4, 1e308))
+
+    def test_non_finite_input_is_not_called_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = apply_sign_matrix(SignPattern(3), np.array([1.0, np.inf, 0.0]))
+        assert not np.all(np.isfinite(out))
+
+
 class TestSolve:
     def test_paper_system(self):
         x, report = solve(SignPattern(8), PAPER_VALUES)
@@ -114,6 +130,13 @@ class TestSolve:
     def test_non_finite_rhs_rejected(self):
         with pytest.raises(ValueError):
             solve(SignPattern(3), np.array([1.0, np.nan, 0.0]))
+
+    def test_coefficient_overflow_raises_without_warnings(self):
+        rhs = np.random.default_rng(3).uniform(-1.0, 1.0, 200) * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="coefficients overflow float64"):
+                solve(SignPattern(200), rhs)
 
     def test_zero_refinement_steps_allowed(self):
         # the first substitution reproduces the paper series exactly, so the

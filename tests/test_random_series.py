@@ -1,10 +1,50 @@
+import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from sqwt import DigitStream, DimensionMismatch, GridSpec, generate, next_value, train_frequency
+from sqwt import random_series
+from sqwt.random_series import _GAMMA, _MASK64, _REJECT_ABOVE, _mix64
+
+# sha256 of `sqwt generate --seed 42 --n 10000 --fs 2000`, as written by the
+# scalar generator that drew one digit per next_digit call
+GENERATE_42_10000_SHA256 = "d3ed549dfbaae68296b5d844428e4f6a06c8f210b2146a26c358fcd1e43182a9"
+
+
+def _unshift(y, shift):
+    """Inverse of x -> x ^ (x >> shift) on 64-bit words."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64(z):
+    """Inverse of random_series._mix64."""
+    z = _unshift(z, 31)
+    z = _unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64, 27)
+    return _unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64, 30)
+
+
+def seed_rejecting_draw(k):
+    """A seed whose k-th draw (1-based) mixes to 2**64 - 1, which is rejected."""
+    return (_unmix64(_MASK64) - k * _GAMMA) & _MASK64
+
+
+def scalar_values(seed, n):
+    """The reference stream: n calls of next_value on a fresh DigitStream."""
+    stream = DigitStream(seed)
+    return np.array([next_value(stream) for _ in range(n)])
+
+
+def assert_same_values(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))  # no -0.0
 
 
 class FixedDigits:
@@ -123,3 +163,68 @@ class TestGenerate:
         result = generate(9, 1, g)
         assert result.series.n == 1
         assert train_frequency(g, 1) == 0.1
+
+
+class TestVectorisedGenerate:
+    """`generate` draws in numpy blocks; it must equal the scalar stream bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 42])
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    def test_matches_scalar_stream(self, seed, n):
+        got = generate(seed, n, GridSpec.from_sampling_rate(n, 2000.0)).series.values
+        assert_same_values(got, scalar_values(seed, n))
+
+    def test_digit_mapping_matches_next_value(self):
+        rows = np.random.default_rng(8).integers(0, 10, (2000, 8))
+        rows[:4] = [[2, 0, 0, 0, 0, 0, 0, 0], [7, 0, 0, 0, 0, 0, 0, 0],
+                    [0, 9, 9, 9, 9, 9, 9, 9], [4, 0, 0, 0, 0, 0, 0, 1]]
+        expected = np.array([next_value(FixedDigits(row)) for row in rows.tolist()])
+        assert_same_values(random_series._values_from_digits(rows), expected)
+
+    def test_matches_scalar_stream_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(random_series, "_BLOCK", 7)
+        n = 100
+        got = generate(42, n, GridSpec.from_sampling_rate(n, 2000.0)).series.values
+        assert_same_values(got, scalar_values(42, n))
+
+    def test_unmix_inverts_mix(self):
+        for z in (0, 1, 42, _GAMMA, _MASK64, 0x0123456789ABCDEF):
+            assert _mix64(_unmix64(z)) == z
+
+    def test_documented_rejecting_seed(self):
+        seed = 13295932390644334935
+        assert seed == seed_rejecting_draw(5)
+        rejected = [k for k in range(1, 41)
+                    if _mix64((seed + k * _GAMMA) & _MASK64) >= _REJECT_ABOVE]
+        assert rejected == [5]
+        got = generate(seed, 5, GridSpec.from_sampling_rate(5, 2000.0)).series.values
+        assert_same_values(got, scalar_values(seed, 5))
+
+    @pytest.mark.parametrize("k", [1, 55, 56, 57, 800])
+    def test_rejected_draw_is_skipped(self, monkeypatch, k):
+        # with 7-value blocks, draw 56 ends the first block and draw 800 is
+        # the last draw of the whole series, so its replacement is drawn again
+        monkeypatch.setattr(random_series, "_BLOCK", 7)
+        seed = seed_rejecting_draw(k)
+        n = 100
+        got = generate(seed, n, GridSpec.from_sampling_rate(n, 2000.0)).series.values
+        assert_same_values(got, scalar_values(seed, n))
+
+    @pytest.mark.parametrize("seed", [42, seed_rejecting_draw(3)])
+    def test_block_draw_advances_state_like_next_digit(self, seed):
+        scalar = DigitStream(seed)
+        vector = DigitStream(seed)
+        expected = [scalar.next_digit() for _ in range(40)]
+        assert vector._digits(40).tolist() == expected
+        assert vector._state == scalar._state
+        assert vector.next_digit() == scalar.next_digit()
+
+    def test_cli_bytes_pinned(self, tmp_path):
+        out = tmp_path / "gen.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "sqwt", "generate", "--seed", "42", "--n", "10000",
+             "--fs", "2000", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_42_10000_SHA256

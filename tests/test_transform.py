@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,24 @@ class TestReconstructionReport:
         b = TimeSeries([1.0, 2.0], GridSpec.from_duration(2, 2.0))
         with pytest.raises(DimensionMismatch):
             reconstruction_report(a, b)
+
+    def test_rms_plain_formula_when_squares_fit(self):
+        # report bytes of ordinary series must not change
+        rng = np.random.default_rng(6)
+        grid = GridSpec.from_duration(40, 1.0)
+        a, b = rng.uniform(-10, 10, 40), rng.uniform(-10, 10, 40)
+        report = reconstruction_report(TimeSeries(a, grid), TimeSeries(b, grid))
+        assert report.rms_error == float(np.sqrt(np.mean(np.square(np.abs(a - b)))))
+
+    def test_rms_finite_where_squares_overflow(self):
+        grid = GridSpec.from_duration(3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = reconstruction_report(
+                TimeSeries([3e300, -3e300, 0.0], grid), TimeSeries([0.0, 0.0, 0.0], grid)
+            )
+        assert report.max_abs_error == 3e300
+        assert report.rms_error == pytest.approx(3e300 * np.sqrt(2.0 / 3.0), rel=1e-15)
 
     def test_rms_never_exceeds_max(self):
         rng = np.random.default_rng(5)
