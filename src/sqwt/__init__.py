@@ -7,53 +7,52 @@ coefficient with its train frequency gives the series' dyad spectrum, from
 which the series can be rebuilt.
 """
 
-from .errors import DimensionMismatch, FileFormatError, SquareWaveError
-from .linsolve import SolveReport, apply_sign_matrix, solve
-from .random_series import DigitStream, GeneratedSeries, generate, next_value
-from .transform import (
-    Dyad,
-    ReconstructionReport,
-    Spectrum,
-    TimeSeries,
-    forward,
-    inverse,
-    reconstruction_report,
-)
-from .waves import (
-    GridSpec,
-    SignPattern,
-    TrainDescriptor,
-    half_wave_length,
-    sample_train,
-    sign_at,
-    train_frequency,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DigitStream",
-    "DimensionMismatch",
-    "Dyad",
-    "FileFormatError",
-    "GeneratedSeries",
-    "GridSpec",
-    "ReconstructionReport",
-    "SignPattern",
-    "SolveReport",
-    "Spectrum",
-    "SquareWaveError",
-    "TimeSeries",
-    "TrainDescriptor",
-    "apply_sign_matrix",
-    "forward",
-    "generate",
-    "half_wave_length",
-    "inverse",
-    "next_value",
-    "reconstruction_report",
-    "sample_train",
-    "sign_at",
-    "solve",
-    "train_frequency",
-]
+# each public name and the submodule that defines it; a name is imported on
+# first access, so `import sqwt.cli` (and `python -m sqwt`) leaves numpy
+# unloaded until a command needs it
+_EXPORTS = {
+    "DimensionMismatch": "errors",
+    "FileFormatError": "errors",
+    "SquareWaveError": "errors",
+    "SolveReport": "linsolve",
+    "apply_sign_matrix": "linsolve",
+    "solve": "linsolve",
+    "DigitStream": "random_series",
+    "GeneratedSeries": "random_series",
+    "generate": "random_series",
+    "next_value": "random_series",
+    "Dyad": "transform",
+    "ReconstructionReport": "transform",
+    "Spectrum": "transform",
+    "TimeSeries": "transform",
+    "forward": "transform",
+    "inverse": "transform",
+    "reconstruction_report": "transform",
+    "GridSpec": "waves",
+    "SignPattern": "waves",
+    "TrainDescriptor": "waves",
+    "half_wave_length": "waves",
+    "sample_train": "waves",
+    "sign_at": "waves",
+    "train_frequency": "waves",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

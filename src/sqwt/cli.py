@@ -2,6 +2,8 @@
 
 The solver is single-threaded and deterministic, so --threads is accepted
 and validated for compatibility with existing scripts but changes nothing.
+sqwt makes no BLAS call, so when neither OPENBLAS_NUM_THREADS nor
+OMP_NUM_THREADS is set, a CLI process sets both to 1 before numpy starts.
 Exit codes: 0 success, 2 bad flags, unparsable input or values whose
 transform overflows float64.
 """
@@ -9,10 +11,12 @@ transform overflows float64.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EXIT_OK = 0
 EXIT_USAGE = 2
+_BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 def _fail_usage(message: str) -> int:
@@ -188,6 +192,10 @@ def _cmd_spectrum_plotdata(args) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None and not _BLAS_THREAD_VARS & os.environ.keys():
+        # a process entry, before any command imports numpy: an idle BLAS
+        # thread pool only costs start-up time
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads is not None and args.threads < 1:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floattext import repr_rows
 from .errors import FileFormatError
 from .transform import ReconstructionReport, Spectrum
 from .waves import GridSpec
@@ -34,7 +35,7 @@ _DYAD_RECORD = (
 _RECORD_KEYS = ("i", "f_hz", "c")
 
 
-def _write_rows(path, columns, template: str, sep: str, head: str = "", tail: str = "\n") -> None:
+def _write_rows(path, columns, template: str, sep: str, head: str, tail: str) -> None:
     """Write head, `template % row` for each row of the columns joined by sep, then tail.
 
     Rows go through `.tolist()` in blocks of _BLOCK, so floats print in
@@ -100,9 +101,17 @@ def read_series_values(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def _write_repr_rows(path, columns) -> None:
+    """Write one line per row of the float64 columns: each value's `repr`, joined by ','."""
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(repr_rows(columns))
+        if not len(columns[0]):
+            out.write("\n")
+
+
 def write_series_values(path, values) -> None:
     """Write one value per line in shortest round-trip decimal form."""
-    _write_rows(path, [np.asarray(values, dtype=np.float64)], "%r", "\n")
+    _write_repr_rows(path, [values])
 
 
 def format_dyad_display(frequency: float, coefficient: float) -> str:
@@ -247,7 +256,7 @@ def read_spectrum(path) -> Spectrum:
 
 def write_plotdata(path, spectrum: Spectrum) -> None:
     """Write a two-column CSV of (frequency, coefficient), one dyad per line."""
-    _write_rows(path, [spectrum.frequencies, spectrum.coefficients], "%r,%r", "\n")
+    _write_repr_rows(path, [spectrum.frequencies, spectrum.coefficients])
 
 
 def write_report(path, report: ReconstructionReport) -> None:

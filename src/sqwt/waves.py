@@ -9,6 +9,7 @@ positive, so train n alternates every subinterval and train 1 never flips.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class GridSpec:
             raise ValueError(f"delta_t must be a positive real, got {self.delta_t!r}")
         if not (math.isfinite(self.f_s) and self.f_s > 0):
             raise ValueError(f"f_s must be a positive real, got {self.f_s!r}")
+        # plain Python numbers, as json and repr expect, whatever the caller passed
+        object.__setattr__(self, "n", operator.index(self.n))
+        object.__setattr__(self, "delta_t", float(self.delta_t))
+        object.__setattr__(self, "f_s", float(self.f_s))
         if abs(self.f_s * self.delta_t - self.n) > _GRID_REL_TOL * self.n:
             raise ValueError(
                 f"inconsistent grid: f_s * delta_t = {self.f_s * self.delta_t!r} "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -259,3 +260,73 @@ class TestEndToEnd:
         result = run_cli("analyze", str(paper_file), "--delta-t", "2",
                          "--out", str(tmp_path / "s.json"), "--threads", "0")
         assert result.returncode == 2
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestStartup:
+    """The CLI loads numpy only when a command runs, with a one-thread BLAS by default."""
+
+    @pytest.mark.parametrize("statement", ["import sqwt", "import sqwt.cli"])
+    def test_import_loads_no_numpy(self, statement):
+        code = f"import sys; {statement}; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_public_names_resolve_and_are_listed(self):
+        import sqwt
+
+        assert sqwt.__all__ == [
+            "DigitStream", "DimensionMismatch", "Dyad", "FileFormatError",
+            "GeneratedSeries", "GridSpec", "ReconstructionReport", "SignPattern",
+            "SolveReport", "Spectrum", "SquareWaveError", "TimeSeries",
+            "TrainDescriptor", "apply_sign_matrix", "forward", "generate",
+            "half_wave_length", "inverse", "next_value", "reconstruction_report",
+            "sample_train", "sign_at", "solve", "train_frequency",
+        ]
+        for name in sqwt.__all__:
+            value = getattr(sqwt, name)
+            assert getattr(import_module(value.__module__), name) is value
+        assert set(sqwt.__all__) <= set(dir(sqwt))
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            sqwt.no_such_name
+
+    def child_blas_vars(self, tmp_path, **user_set) -> dict:
+        """The BLAS thread variables a `python -m sqwt` child holds when it exits."""
+        site = tmp_path / "site"
+        site.mkdir()
+        log = tmp_path / "blas_vars.json"
+        (site / "sitecustomize.py").write_text(
+            "import atexit, json, os\n"
+            f"atexit.register(lambda: open({str(log)!r}, 'w').write(json.dumps("
+            f"{{v: os.environ.get(v) for v in {BLAS_VARS!r}}})))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(user_set)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(site), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sqwt", "generate", "--seed", "1", "--n", "3",
+             "--fs", "1", "--out", str(tmp_path / "g.csv")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(log.read_text())
+
+    def test_child_defaults_to_one_blas_thread(self, tmp_path):
+        assert self.child_blas_vars(tmp_path) == dict.fromkeys(BLAS_VARS, "1")
+
+    @pytest.mark.parametrize("var", BLAS_VARS)
+    def test_child_keeps_a_value_the_user_set(self, tmp_path, var):
+        expected = dict.fromkeys(BLAS_VARS)
+        expected[var] = "3"
+        assert self.child_blas_vars(tmp_path, **{var: "3"}) == expected
+
+    def test_in_process_main_leaves_environment_alone(self, tmp_path, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        assert main(["generate", "--seed", "1", "--n", "3", "--fs", "1",
+                     "--out", str(tmp_path / "g.csv")]) == 0
+        assert dict(os.environ) == before

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sqwt import FileFormatError, GridSpec, Spectrum, fileio
+from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, fileio
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -238,6 +238,16 @@ class TestSpectrumBytes:
         assert text == reference_spectrum_text(spectrum)
         assert '"delta_t_s": 2.0,' in text and "np.float64" not in text
 
+    def test_numpy_integer_grid_n(self, tmp_path):
+        grid = GridSpec(np.int64(2), 1.0, 2.0)
+        assert (type(grid.n), type(grid.delta_t), type(grid.f_s)) == (int, float, float)
+        spectrum = Spectrum(grid, [1.5, -0.25])
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        assert path.read_text(encoding="utf-8") == reference_spectrum_text(spectrum)
+        back = read_spectrum(path)
+        assert back.grid == grid and np.array_equal(back.coefficients, [1.5, -0.25])
+
     def test_matches_json_dumps_across_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_BLOCK", 3)
         for n in (1, 3, 7):
@@ -252,6 +262,7 @@ class TestSpectrumBytes:
         freqs, coeffs = spectrum.frequencies, spectrum.coefficients
         for block in (3, fileio._BLOCK):
             monkeypatch.setattr(fileio, "_BLOCK", block)
+            monkeypatch.setattr(_floattext, "_BLOCK", block)
             write_series_values(tmp_path / "s.csv", coeffs)
             assert (tmp_path / "s.csv").read_text() == "".join(
                 f"{float(c)!r}\n" for c in coeffs)

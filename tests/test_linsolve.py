@@ -189,3 +189,18 @@ class TestClosedForms:
     def test_sieve_oracle_matches_elimination_oracle(self, n):
         rhs = np.random.default_rng(n).uniform(-100, 100, n)
         assert solve_sign_system_sieve(n, rhs) == solve_sign_system_exact(n, rhs)
+
+    @pytest.mark.parametrize("n, l0", [(60, 4), (97, 3), (500, 7), (1000, 10)])
+    def test_coefficients_vanish_off_the_divisor_support(self, n, l0):
+        # V_{i+1} - V_i is zero unless l0 divides i, so every span l < n that
+        # l0 does not divide has a zero coefficient (its divisors miss l0 too)
+        rng = np.random.default_rng(n)
+        steps = np.where(np.arange(1, n) % l0 == 0, rng.integers(-50, 51, n - 1), 0)
+        rhs = np.concatenate([[rng.integers(-50, 51)], steps]).cumsum().astype(np.float64)
+        x, _ = solve(SignPattern(n), rhs)
+        spans = n - np.arange(n)  # x[j - 1] belongs to the train of span n - j + 1
+        off = (spans < n) & (spans % l0 != 0)
+        assert np.all(x[off] == 0.0)
+        exact = np.array([float(c) for c in solve_sign_system_sieve(n, rhs)])
+        assert np.all(exact[off] == 0.0)
+        assert np.array_equal(x, exact)
