@@ -24,15 +24,20 @@ _FREQ_SANITY_REL_TOL = 1e-6
 # records or rows handled per block by the reader and the writers; bounds
 # their scratch memory at any n
 _BLOCK = 1 << 14
-# six-decimal display form of a dyad; holds only digits, '-', '.', ';', ' '
-# and parentheses, so it needs no JSON escaping
+# six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
+# needs no JSON escaping
 _DISPLAY = "(%.6f; %.6f)"
+_DISPLAY_CHARS = b"-0123456789.; ()"
 # one dyad record laid out as json.dumps(doc, indent=2) lays it out
 _DYAD_RECORD = (
     '    {\n      "i": %d,\n      "f_hz": %r,\n      "c": %r,\n'
     f'      "display": "{_DISPLAY}"\n    }}'
 )
 _RECORD_KEYS = ("i", "f_hz", "c")
+# ASCII characters that float() accepts inside a number (digit-group
+# underscores) or that str.splitlines() splits a line at; no decimal line
+# of a series file holds one
+_NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e")
 
 
 def _write_rows(path, columns, template: str, sep: str, head: str, tail: str) -> None:
@@ -69,15 +74,18 @@ def _number_fault(v, what: str, positive: bool = False) -> str | None:
 def read_series_values(path) -> np.ndarray:
     """Parse a series file into a float64 vector.
 
-    Accepts an optional leading `value` header. Any token that is not a
-    finite decimal number fails with the 1-based line number; an empty
-    file fails naming the file.
+    Accepts an optional leading `value` header. Lines end in "\n", "\r\n"
+    or "\r". Any token that is not a finite decimal number in ASCII
+    (no digit-group underscores) fails with the 1-based line number; an
+    empty file fails naming the file.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
+    if not text.isascii() or any(c in text for c in _NOT_IN_SERIES):
+        _raise_series_character_fault(str(path), text)
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()
@@ -99,6 +107,15 @@ def read_series_values(path) -> np.ndarray:
     if not values:
         raise FileFormatError(str(path), "file contains no values")
     return np.asarray(values, dtype=np.float64)
+
+
+def _raise_series_character_fault(p: str, text: str) -> None:
+    """Name the first line that holds a non-ASCII character or one of _NOT_IN_SERIES."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES):
+            token = raw.strip(" \t")
+            raise FileFormatError(p, f"not a decimal number: {token!r}", lineno)
 
 
 def _write_repr_rows(path, columns) -> None:
@@ -145,6 +162,28 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise FileFormatError(path, message)
 
 
+def _grid(doc, p: str) -> GridSpec:
+    """The grid of a decoded spectrum document, after checking its header fields."""
+    _require(isinstance(doc, dict), p, "top level must be a JSON object")
+    for key in ("n", "delta_t_s", "f_s_hz", "unit", "dyads"):
+        _require(key in doc, p, f"missing required field {key!r}")
+    n = doc["n"]
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+             p, f"n must be a positive integer, got {n!r}")
+    for key in ("delta_t_s", "f_s_hz"):
+        fault = _number_fault(doc[key], key, positive=True)
+        _require(fault is None, p, fault)
+    _require(isinstance(doc["unit"], str), p, "unit must be a string")
+    try:
+        return GridSpec(n, float(doc["delta_t_s"]), float(doc["f_s_hz"]))
+    except ValueError as exc:
+        raise FileFormatError(p, str(exc)) from None
+    except OverflowError:  # the consistency check cannot turn n into a float
+        raise FileFormatError(
+            p, f"n must be a positive integer, got an integer of {len(str(n))} digits"
+        ) from None
+
+
 def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
     """The message for the first check that record `pos` (0-based) fails; None if it passes."""
     if not isinstance(rec, dict):
@@ -177,6 +216,10 @@ def _float_column(values: list) -> np.ndarray | None:
     return column if np.all(np.isfinite(column)) else None
 
 
+def _frequencies_match(freqs: np.ndarray, expected: np.ndarray) -> bool:
+    return bool(np.all(np.abs(freqs - expected) <= _FREQ_SANITY_REL_TOL * expected))
+
+
 def _coefficient_column(records: list, expected_freqs: np.ndarray) -> np.ndarray | None:
     """The `c` column when every record passes `_record_fault`, else None.
 
@@ -198,21 +241,14 @@ def _coefficient_column(records: list, expected_freqs: np.ndarray) -> np.ndarray
         c = _float_column(c_col)
         if freqs is None or c is None:
             return None
-        expected = expected_freqs[start : start + len(block)]
-        if not np.all(np.abs(freqs - expected) <= _FREQ_SANITY_REL_TOL * expected):
+        if not _frequencies_match(freqs, expected_freqs[start : start + len(block)]):
             return None
         coefficients[start : start + len(block)] = c
     return coefficients
 
 
-def read_spectrum(path) -> Spectrum:
-    """Parse and validate a spectrum JSON file.
-
-    Checks the record count, ascending 1..n indices, finite numbers, and
-    that stored frequencies agree with the grid's frequency law; display
-    strings are presentation-only and ignored.
-    """
-    path = Path(path)
+def _read_document(path: Path) -> Spectrum:
+    """Parse a spectrum file with one json.loads and check it, naming the first fault."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -222,24 +258,8 @@ def read_spectrum(path) -> Spectrum:
     except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise FileFormatError(str(path), f"not valid JSON: {exc}") from None
     p = str(path)
-    _require(isinstance(doc, dict), p, "top level must be a JSON object")
-    for key in ("n", "delta_t_s", "f_s_hz", "unit", "dyads"):
-        _require(key in doc, p, f"missing required field {key!r}")
-    n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-             p, f"n must be a positive integer, got {n!r}")
-    for key in ("delta_t_s", "f_s_hz"):
-        fault = _number_fault(doc[key], key, positive=True)
-        _require(fault is None, p, fault)
-    _require(isinstance(doc["unit"], str), p, "unit must be a string")
-    try:
-        grid = GridSpec(n, float(doc["delta_t_s"]), float(doc["f_s_hz"]))
-    except ValueError as exc:
-        raise FileFormatError(p, str(exc)) from None
-    except OverflowError:  # the consistency check cannot turn n into a float
-        raise FileFormatError(
-            p, f"n must be a positive integer, got an integer of {len(str(n))} digits"
-        ) from None
+    grid = _grid(doc, p)
+    n = grid.n
     records = doc["dyads"]
     _require(isinstance(records, list), p, "dyads must be an array")
     _require(len(records) == n, p, f"expected {n} dyad records, found {len(records)}")
@@ -252,6 +272,30 @@ def read_spectrum(path) -> Spectrum:
             fault = _record_fault(pos, rec, n, float(expected_freqs[pos]))
             _require(fault is None, p, fault)
     return Spectrum(grid, coefficients, doc["unit"])
+
+
+def read_spectrum(path) -> Spectrum:
+    """Parse and validate a spectrum JSON file.
+
+    Checks the record count, ascending 1..n indices, finite numbers, and
+    that stored frequencies agree with the grid's frequency law; display
+    strings are presentation-only and ignored. A file in the layout that
+    `write_spectrum` writes is read in blocks of bounded size; any other
+    valid JSON goes through one json.loads of the whole document, with the
+    same result. A fault in either case is reported as the document reader
+    reports it.
+    """
+    from ._spectrumblocks import read_canonical
+
+    path = Path(path)
+    spectrum = None
+    if path.is_file():  # a pipe can be read only once: as a document
+        try:
+            with path.open("rb") as file:
+                spectrum = read_canonical(file, str(path))
+        except OSError:
+            pass  # _read_document reports it
+    return spectrum if spectrum is not None else _read_document(path)
 
 
 def write_plotdata(path, spectrum: Spectrum) -> None:

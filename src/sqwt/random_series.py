@@ -23,7 +23,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _REJECT_ABOVE = (1 << 64) - ((1 << 64) % 10)
 # values per vectorised block in `generate`; bounds its scratch memory to a
 # few arrays of 8 * _BLOCK draws
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
 # weights of digits 2-8 in the scaled magnitude (value * 100000)
 _DIGIT_WEIGHTS = np.array([1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int64)
 

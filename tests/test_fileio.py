@@ -1,10 +1,17 @@
 import json
+import os
 import re
+import tempfile
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, fileio
+from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, _spectrumblocks, fileio
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -81,11 +88,65 @@ class TestSeriesFiles:
         with pytest.raises(FileFormatError):
             read_series_values(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("text,line,token", [
+        ("1.0\n1_000\n", 2, "1_000"),
+        ("2\n\u0661\u0662\n", 2, "\u0661\u0662"),
+        ("1.0\f2.0\n", 1, "1.0\f2.0"),
+        ("value\n1\v2\n", 2, "1\v2"),
+        ("1\r\n2\x1c3\r\n", 2, "2\x1c3"),
+        ("1\n2\x1d\n", 2, "2\x1d"),
+        ("\x1e1\n", 1, "\x1e1"),
+        ("1\n2\u00a0\n", 2, "2\u00a0"),
+    ])
+    def test_non_decimal_characters_rejected(self, tmp_path, text, line, token):
+        # float() accepts underscores and non-ASCII digits or spaces, and
+        # str.splitlines() splits at \f, \v and \x1c-\x1e
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FileFormatError) as err:
+            read_series_values(path)
+        assert err.value.line == line
+        assert str(err.value) == f"{path}:{line}: not a decimal number: {token!r}"
+
+    @pytest.mark.parametrize("text", ["\ufeffvalue\r\n1.5\r\n-2\r\n", "1.5\r-2\r", " 1.5\t\n-2\n"])
+    def test_line_endings_bom_and_blanks_around_tokens(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert np.array_equal(read_series_values(path), [1.5, -2.0])
+
 
 def sample_spectrum():
     grid = GridSpec.from_duration(8, 2.0)
     coeffs = [170.5, -38.5, -100.5, -135.5, 195.0, -135.5, 10.5, 118.0]
     return Spectrum(grid, coeffs, "mV")
+
+
+# A spectrum document in the compact layout goes straight to the document
+# reader; in the canonical one, write_spectrum's, the block reader scans it
+# first and falls back to the document reader at the first departure.
+LAYOUTS = {
+    "compact": lambda doc: json.dumps(doc),
+    "canonical": lambda doc: json.dumps(doc, indent=2) + "\n",
+}
+
+
+def outcome(read, path):
+    """What a reader makes of a file: the Spectrum's bits, or its error without the path."""
+    try:
+        spectrum = read(Path(path))
+    except Exception as exc:  # any error, compared by type and text
+        text = str(exc)
+        return type(exc), text.removeprefix(f"{path}: ")
+    return spectrum.grid, spectrum.unit, spectrum.coefficients.tobytes()
+
+
+def write_layouts(tmp_path, doc) -> Path:
+    """Write doc in both layouts, check that both read alike, return the compact file."""
+    paths = {name: tmp_path / f"{name}.json" for name in LAYOUTS}
+    for name, path in paths.items():
+        path.write_text(LAYOUTS[name](doc))
+    assert outcome(read_spectrum, paths["canonical"]) == outcome(read_spectrum, paths["compact"])
+    return paths["compact"]
 
 
 class TestSpectrumFiles:
@@ -120,8 +181,7 @@ class TestSpectrumFiles:
         write_spectrum(path, sample_spectrum())
         doc = json.loads(path.read_text())
         mutate(doc)
-        path.write_text(json.dumps(doc))
-        return path
+        return write_layouts(tmp_path, doc)
 
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "spectrum.json"
@@ -288,7 +348,9 @@ class TestSpectrumRecordFaults:
     def _read_doc(self, tmp_path, mutate):
         doc = self._doc()
         mutate(doc)
-        return self._read(tmp_path, json.dumps(doc))
+        messages = {self._read(tmp_path, dump(doc)) for dump in LAYOUTS.values()}
+        assert len(messages) == 1
+        return messages.pop()
 
     def _set(self, pos, key, value):
         def mutate(doc):
@@ -365,9 +427,7 @@ class TestSpectrumRecordFaults:
         doc = self._doc()
         doc["dyads"][1]["c"] = 2**70
         doc["dyads"][7]["c"] = -3
-        path = tmp_path / "spectrum.json"
-        path.write_text(json.dumps(doc))
-        coeffs = read_spectrum(path).coefficients
+        coeffs = read_spectrum(write_layouts(tmp_path, doc)).coefficients
         assert coeffs[1] == float(2**70) and coeffs[7] == -3.0
 
     def test_first_bad_record_named(self, tmp_path):
@@ -388,8 +448,164 @@ class TestSpectrumRecordFaults:
     @pytest.mark.parametrize("pos", [0, 2, 3, 7])
     def test_fault_in_a_later_block_named(self, tmp_path, monkeypatch, pos):
         monkeypatch.setattr(fileio, "_BLOCK", 3)
+        monkeypatch.setattr(_spectrumblocks, "_CHUNK", 256)
         message = self._read_doc(tmp_path, self._set(pos, "c", None))
         assert message == f"dyad {pos + 1}: c must be a finite number, got None"
+
+    @pytest.mark.parametrize("chunk", [256, 1 << 18])
+    @pytest.mark.parametrize("pos", [5, 7])
+    @pytest.mark.parametrize("key,value,message", [
+        ("c", None, "dyad {i}: c must be a finite number, got None"),
+        ("c", "1", "dyad {i}: c must be a finite number, got '1'"),
+        ("c", False, "dyad {i}: c must be a finite number, got False"),
+        ("c", 1e308 * 10, "dyad {i}: c must be a finite number, got inf"),
+        ("f_hz", [1], "dyad {i}: f_hz must be a finite number, got [1]"),
+        ("f_hz", 7.0, "dyad {i}: frequency 7.0 does not match the grid (expected {f})"),
+        ("i", 1, "dyad indices must ascend 1..8; record {i} has i=1"),
+        ("i", 66, "dyad indices must ascend 1..8; record {i} has i=66"),
+        ("i", 88, "dyad indices must ascend 1..8; record {i} has i=88"),
+    ])
+    def test_fault_in_last_record_or_past_first_block(self, tmp_path, monkeypatch,
+                                                       chunk, pos, key, value, message):
+        monkeypatch.setattr(_spectrumblocks, "_CHUNK", chunk)
+        f = float(sample_spectrum().frequencies[pos])
+        message = message.format(i=pos + 1, f=f)
+        assert self._read_doc(tmp_path, self._set(pos, key, value)) == message
+
+
+def _no_document_reader(path):
+    raise AssertionError(f"{path} fell back to the document reader")
+
+
+def departures():
+    """Texts of the sample spectrum that depart from write_spectrum's layout, by name."""
+    text = reference_spectrum_text(sample_spectrum())
+    swapped = text.replace('"i": 3,\n      "f_hz": 0.3333333333333333,',
+                           '"f_hz": 0.3333333333333333,\n      "i": 3,')
+    assert swapped != text
+    return {
+        "bom": "\ufeff" + text,
+        "crlf": text.replace("\n", "\r\n"),
+        "keys swapped in one record": swapped,
+        "escaped quote in display": text.replace("(0.250000;", '(0.25\\"0000;'),
+        "letter in display": text.replace("(0.250000;", "(A.250000;"),
+        "raw quote in display": text.replace("(0.250000;", '(0.25"0000;'),
+        "control character in display": text.replace("(0.250000;", "(0.25\t0000;"),
+        "trailing space": text + " ",
+        "no final newline": text[:-1],
+        "a number spelled with an exponent": text.replace('"c": 195.0,', '"c": 1.95e2,'),
+        "blank lines for records": text[: text.index("    {")] + "\n" * 11 + "\n  ]\n}\n",
+    }
+
+
+DEPARTURES = departures()
+NOT_JSON = {"raw quote in display", "control character in display", "blank lines for records"}
+
+
+class TestCanonicalReader:
+    """write_spectrum's layout is read in blocks; anything else as it was."""
+
+    @pytest.mark.parametrize("chunk", [256, 1000, _spectrumblocks._CHUNK])
+    @pytest.mark.parametrize("n", [1, 2, 8, 100, 4000])
+    def test_write_spectrum_output_read_in_blocks(self, tmp_path, monkeypatch, n, chunk):
+        monkeypatch.setattr(_spectrumblocks, "_CHUNK", chunk)
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = random_spectrum(n, seed=n, unit="mV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        loaded = read_spectrum(path)
+        assert loaded.grid == spectrum.grid and loaded.unit == "mV"
+        assert loaded.coefficients.tobytes() == spectrum.coefficients.tobytes()
+
+    def test_display_longer_than_a_window(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = Spectrum(GridSpec.from_sampling_rate(3, 10.0), [1e300, -1e30, 2.5])
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        assert len(format_dyad_display(10.0 / 6, 1e300)) > _spectrumblocks._WINDOW
+        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(DEPARTURES))
+    def test_departures_read_as_documents(self, tmp_path, name):
+        path = tmp_path / "spectrum.json"
+        path.write_bytes(DEPARTURES[name].encode("utf-8"))
+        result = outcome(read_spectrum, path)
+        assert result == outcome(fileio._read_document, path)
+        if name not in NOT_JSON:
+            spectrum = sample_spectrum()
+            assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
+        with path.open("rb") as file:
+            in_blocks = _spectrumblocks.read_canonical(file, str(path)) is not None
+        assert in_blocks == (name == "a number spelled with an exponent")
+
+    def test_pipe_read_once(self, tmp_path):
+        fifo = tmp_path / "spectrum.fifo"
+        os.mkfifo(fifo)
+        text = reference_spectrum_text(sample_spectrum())
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        result = {}
+        reader = threading.Thread(
+            target=lambda: result.update(spectrum=read_spectrum(fifo)), daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=20)
+        writer.join(timeout=20)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert np.array_equal(result["spectrum"].coefficients, sample_spectrum().coefficients)
+
+    def test_read_in_bounded_memory(self, tmp_path):
+        spectrum = random_spectrum(100_000)
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        tracemalloc.start()
+        try:
+            loaded = read_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.coefficients.tobytes() == spectrum.coefficients.tobytes()
+        assert peak < 8e6, f"read_spectrum peaked at {peak / 1e6:.1f} MB"
+
+
+_EDIT_BYTES = b'0123456789.-+eE ,"{}[]:\n\\'
+_TOKENS = re.compile(rb'(?<=: )-?[0-9][0-9.e+-]*')
+
+
+@st.composite
+def edited_spectrum(draw):
+    """A canonical spectrum file with n <= 60 and one random edit."""
+    spectrum = random_spectrum(draw(st.integers(1, 60)), seed=draw(st.integers(0, 2**32 - 1)),
+                               unit="mV")
+    text = reference_spectrum_text(spectrum).encode()
+    kind = draw(st.sampled_from(["substitute", "insert", "delete", "token"]))
+    if kind == "token":
+        spans = [m.span() for m in _TOKENS.finditer(text)]
+        start, stop = draw(st.sampled_from(spans))
+        is_index = text[:start].endswith(b'"i": ')
+        new = draw(st.sampled_from([b"NaN", b"1e999", b"01", b"+1", b"1.", b"true"]
+                                   + [b"1.0"] * is_index))
+        return text[:start] + new + text[stop:]
+    pos = draw(st.integers(0, len(text) - 1))
+    byte = bytes([draw(st.sampled_from(_EDIT_BYTES))])
+    if kind == "substitute":
+        return text[:pos] + byte + text[pos + 1:]
+    if kind == "insert":
+        return text[:pos] + byte + text[pos:]
+    return text[:pos] + text[pos + 1:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_spectrum(), st.sampled_from([256, 700, None]))
+def test_block_reader_agrees_with_document_reader(text, chunk):
+    saved = _spectrumblocks._CHUNK
+    _spectrumblocks._CHUNK = chunk or saved
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spectrum.json"
+            path.write_bytes(text)
+            assert outcome(read_spectrum, path) == outcome(fileio._read_document, path)
+    finally:
+        _spectrumblocks._CHUNK = saved
 
 
 class TestPlotData:
