@@ -8,14 +8,7 @@ every reading from the coefficients.
 
 import numpy as np
 
-from sqwt import (
-    GridSpec,
-    SignPattern,
-    TimeSeries,
-    forward,
-    inverse,
-    reconstruction_report,
-)
+from sqwt import GridSpec, TimeSeries, forward, inverse, reconstruction_report, sign_at
 from sqwt.fileio import format_dyad_display
 
 VALUES = [84.0, -152.0, 63.0, 98.0, -35.0, 0.0, 145.0, -14.0]
@@ -27,10 +20,10 @@ def main():
     print(f"series ({series.unit}):", ", ".join(f"{v:g}" for v in series.values))
     print(f"grid: n={grid.n}, delta_t={grid.delta_t} s, f_s={grid.f_s} Hz")
 
-    pattern = SignPattern(8)
+    signs = np.array([[sign_at(8, i, j) for j in range(1, 9)] for i in range(1, 9)])
     print("\nsign grid (rows = subintervals, columns = trains):")
-    for i in range(1, 9):
-        cells = " ".join("+" if s > 0 else "-" for s in pattern.row(i))
+    for i, row in enumerate(signs, start=1):
+        cells = " ".join("+" if s > 0 else "-" for s in row)
         print(f"  i={i}:  {cells}")
 
     spectrum, report = forward(series)
@@ -46,12 +39,12 @@ def main():
         print(f"  {d.index}. {format_dyad_display(d.frequency, d.coefficient)}")
 
     print("\nverification sums, one per subinterval:")
-    for i in range(1, 9):
+    for i, row in enumerate(signs, start=1):
         terms = " ".join(
             f"{'+' if s > 0 else '-'}{abs(c):g}"
-            for s, c in zip(pattern.row(i), spectrum.coefficients)
+            for s, c in zip(row, spectrum.coefficients)
         )
-        total = float(np.sum(pattern.row(i) * spectrum.coefficients))
+        total = float(np.sum(row * spectrum.coefficients))
         print(f"  i={i}: {terms} = {total:g}")
 
     rebuilt = inverse(spectrum)

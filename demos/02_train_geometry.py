@@ -5,14 +5,7 @@ For a small grid the script draws each train's sign sequence as a bar of
 single train look once a coefficient is attached.
 """
 
-from sqwt import (
-    GridSpec,
-    SignPattern,
-    TrainDescriptor,
-    half_wave_length,
-    sample_train,
-    train_frequency,
-)
+from sqwt import GridSpec, sign_at, train_frequency
 
 
 def main():
@@ -21,12 +14,10 @@ def main():
     print(f"grid: n={n}, delta_t={grid.delta_t} s, f_s={grid.f_s} Hz")
 
     print("\ntrain geometry:")
-    pattern = SignPattern(n)
     for i in range(1, n + 1):
-        d = TrainDescriptor.from_grid(grid, i)
-        cells = "".join("+" if s > 0 else "-" for s in pattern.column(i))
-        print(f"  train {d.index:2d}: half-wave {d.half_wave_length:2d} cells  "
-              f"[{cells}]  f = {d.frequency:.6f} Hz")
+        cells = "".join("+" if sign_at(n, k, i) > 0 else "-" for k in range(1, n + 1))
+        print(f"  train {i:2d}: half-wave {n - i + 1:2d} cells  "
+              f"[{cells}]  f = {train_frequency(grid, i):.6f} Hz")
 
     print("\nfrequency law f_i = f_s / (2 * (n - i + 1)):")
     print(f"  slowest train: f_1 = {train_frequency(grid, 1):.6f} Hz "
@@ -37,10 +28,10 @@ def main():
     print(f"\nsame law at n={big.n}, delta_t={big.delta_t} s:")
     for i in (1, 2, 100, 10000):
         print(f"  f_{i} = {train_frequency(big, i):.6f} Hz "
-              f"(half-wave {half_wave_length(big.n, i)} subintervals)")
+              f"(half-wave {big.n - i + 1} subintervals)")
 
     print("\nmidpoint samples of train 3 with coefficient -7.25 (n=12):")
-    samples = [sample_train(grid, 3, -7.25, k) for k in range(1, n + 1)]
+    samples = [sign_at(n, k, 3) * -7.25 for k in range(1, n + 1)]
     print("  " + ", ".join(f"{s:+.2f}" for s in samples))
 
 

@@ -21,10 +21,8 @@ _EXPORTS = {
     "SolveReport": "linsolve",
     "apply_sign_matrix": "linsolve",
     "solve": "linsolve",
-    "DigitStream": "random_series",
     "GeneratedSeries": "random_series",
     "generate": "random_series",
-    "next_value": "random_series",
     "Dyad": "transform",
     "ReconstructionReport": "transform",
     "Spectrum": "transform",
@@ -34,9 +32,6 @@ _EXPORTS = {
     "reconstruction_report": "transform",
     "GridSpec": "waves",
     "SignPattern": "waves",
-    "TrainDescriptor": "waves",
-    "half_wave_length": "waves",
-    "sample_train": "waves",
     "sign_at": "waves",
     "train_frequency": "waves",
 }

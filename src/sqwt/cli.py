@@ -1,4 +1,4 @@
-"""Command-line surface: analyze, reconstruct, generate, bench, spectrum-plotdata.
+"""Command-line surface: analyze, reconstruct, generate, spectrum-plotdata.
 
 The solver is single-threaded and deterministic, so --threads is accepted
 and validated for compatibility with existing scripts but changes nothing.
@@ -80,17 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser(
-        "bench",
-        parents=[common],
-        help="time solve and apply_sign_matrix over a list of sizes",
-    )
-    p.add_argument("--sizes", required=True,
-                   help="comma-separated list of system sizes, e.g. 256,1024")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="repetitions per size; timings report the best run")
-    p.set_defaults(func=_cmd_bench)
-
-    p = sub.add_parser(
         "spectrum-plotdata",
         parents=[common],
         help="export a spectrum as a two-column (f_hz, c) CSV for plotting",
@@ -162,23 +151,6 @@ def _cmd_generate(args) -> int:
         f"f_s={grid.f_s} Hz, delta_t={grid.delta_t} s"
     )
     print(f"wrote series to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError:
-        return _fail_usage(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes or any(n < 1 for n in sizes):
-        return _fail_usage(f"--sizes entries must be >= 1, got {args.sizes!r}")
-    if args.repeats < 1:
-        return _fail_usage(f"--repeats must be >= 1, got {args.repeats}")
-
-    from .bench import format_table, run_bench
-
-    rows = run_bench(sizes, args.repeats)
-    print(format_table(rows))
     return EXIT_OK
 
 

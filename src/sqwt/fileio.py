@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,8 @@ from .transform import ReconstructionReport, Spectrum
 from .waves import GridSpec
 
 _FREQ_SANITY_REL_TOL = 1e-6
-# records or rows handled per block by the reader and the writers; bounds
-# their scratch memory at any n
+# records written per block by write_spectrum; bounds its scratch memory at
+# any n
 _BLOCK = 1 << 14
 # six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
 # needs no JSON escaping
@@ -220,33 +219,6 @@ def _frequencies_match(freqs: np.ndarray, expected: np.ndarray) -> bool:
     return bool(np.all(np.abs(freqs - expected) <= _FREQ_SANITY_REL_TOL * expected))
 
 
-def _coefficient_column(records: list, expected_freqs: np.ndarray) -> np.ndarray | None:
-    """The `c` column when every record passes `_record_fault`, else None.
-
-    The same checks as whole-column operations over blocks of _BLOCK
-    records: the three fields are pulled out once, and no message is built.
-    """
-    coefficients = np.empty(len(records))
-    for start in range(0, len(records), _BLOCK):
-        block = records[start : start + _BLOCK]
-        try:
-            i_col, f_col, c_col = (list(map(itemgetter(key), block)) for key in _RECORD_KEYS)
-        except (TypeError, KeyError):  # a record that is not an object, or lacks a field
-            return None
-        if set(map(type, i_col)) != {int} or not all(
-            map(eq, i_col, range(start + 1, start + len(block) + 1))
-        ):
-            return None
-        freqs = _float_column(f_col)
-        c = _float_column(c_col)
-        if freqs is None or c is None:
-            return None
-        if not _frequencies_match(freqs, expected_freqs[start : start + len(block)]):
-            return None
-        coefficients[start : start + len(block)] = c
-    return coefficients
-
-
 def _read_document(path: Path) -> Spectrum:
     """Parse a spectrum file with one json.loads and check it, naming the first fault."""
     try:
@@ -264,14 +236,11 @@ def _read_document(path: Path) -> Spectrum:
     _require(isinstance(records, list), p, "dyads must be an array")
     _require(len(records) == n, p, f"expected {n} dyad records, found {len(records)}")
     spans = np.arange(n, 0, -1, dtype=np.float64)
-    expected_freqs = grid.f_s / (2.0 * spans)
-    coefficients = _coefficient_column(records, expected_freqs)
-    if coefficients is None:
-        # some record fails; name the first one and its first failed check
-        for pos, rec in enumerate(records):
-            fault = _record_fault(pos, rec, n, float(expected_freqs[pos]))
-            _require(fault is None, p, fault)
-    return Spectrum(grid, coefficients, doc["unit"])
+    expected_freqs = (grid.f_s / (2.0 * spans)).tolist()
+    for pos, rec in enumerate(records):
+        fault = _record_fault(pos, rec, n, expected_freqs[pos])
+        _require(fault is None, p, fault)
+    return Spectrum(grid, [rec["c"] for rec in records], doc["unit"])
 
 
 def read_spectrum(path) -> Spectrum:

@@ -28,14 +28,8 @@ _BLOCK = 1 << 12
 _DIGIT_WEIGHTS = np.array([1_000_000, 100_000, 10_000, 1_000, 100, 10, 1], dtype=np.int64)
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """`_mix64` of every element of a uint64 array, in place; uint64 wraps mod 2**64."""
+    """splitmix64's output mix of every uint64 element, in place; uint64 wraps mod 2**64."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(mult)
@@ -57,18 +51,12 @@ class DigitStream:
         self.seed = int(seed)
         self._state = int(seed)
 
-    def next_digit(self) -> int:
-        while True:
-            self._state = (self._state + _GAMMA) & _MASK64
-            z = _mix64(self._state)
-            if z < _REJECT_ABOVE:
-                return z % 10
-
     def _digits(self, count: int) -> np.ndarray:
-        """The next `count` digits as an int64 array, exactly as `next_digit` would give them.
+        """The next `count` digits as an int64 array.
 
         Draw k from the current state mixes state + k * gamma; rejected draws
-        are dropped and the shortfall is drawn from the following counters.
+        are dropped and the shortfall is drawn from the following counters,
+        so the digits do not depend on how many are drawn at once.
         """
         parts = []
         while count:
@@ -83,28 +71,6 @@ class DigitStream:
         return np.concatenate(parts)
 
 
-def next_value(stream) -> float:
-    """Map the next eight digits of a stream to one value.
-
-    A first digit of 0-4 makes the value negative, 5-9 positive; digits two
-    and three are the integer part, the last five the fractional part. A
-    zero magnitude comes out as +0.0 regardless of the sign digit.
-    """
-    d = [stream.next_digit() for _ in range(8)]
-    scaled = (
-        (10 * d[1] + d[2]) * 100000
-        + d[3] * 10000
-        + d[4] * 1000
-        + d[5] * 100
-        + d[6] * 10
-        + d[7]
-    )
-    value = scaled / 100000.0
-    if d[0] <= 4 and scaled:
-        return -value
-    return value
-
-
 @dataclass(frozen=True)
 class GeneratedSeries:
     """A generated TimeSeries together with the seed that produced it."""
@@ -114,7 +80,12 @@ class GeneratedSeries:
 
 
 def _values_from_digits(d: np.ndarray) -> np.ndarray:
-    """`next_value` over the rows of an (m, 8) digit array."""
+    """One value per row of an (m, 8) digit array.
+
+    A first digit of 0-4 makes the value negative, 5-9 positive; digits two
+    and three are the integer part, the last five the fractional part. A
+    zero magnitude comes out as +0.0 regardless of the sign digit.
+    """
     scaled = d[:, 1:] @ _DIGIT_WEIGHTS
     values = scaled / 100000.0
     np.negative(values, out=values, where=(d[:, 0] <= 4) & (scaled != 0))
@@ -124,8 +95,8 @@ def _values_from_digits(d: np.ndarray) -> np.ndarray:
 def generate(seed: int, n: int, grid: GridSpec) -> GeneratedSeries:
     """Draw n consecutive values from a fresh DigitStream(seed) on the grid.
 
-    The values equal n calls of `next_value` on the stream; they are drawn
-    in vectorised blocks of at most _BLOCK values.
+    Each value takes the next eight digits of the stream; they are drawn in
+    vectorised blocks of at most _BLOCK values.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")

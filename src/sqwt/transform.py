@@ -91,12 +91,6 @@ class Spectrum:
             for i in range(self.grid.n)
         ]
 
-    def dyad(self, i: int) -> Dyad:
-        if not 1 <= i <= self.grid.n:
-            raise IndexError(f"dyad index must be in [1..{self.grid.n}], got {i!r}")
-        freqs = self.frequencies
-        return Dyad(i, float(freqs[i - 1]), float(self.coefficients[i - 1]))
-
 
 @dataclass(frozen=True)
 class ReconstructionReport:

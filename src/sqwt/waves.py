@@ -30,8 +30,7 @@ class GridSpec:
     f_s: float
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        _check_size(self.n)
         if not (math.isfinite(self.delta_t) and self.delta_t > 0):
             raise ValueError(f"delta_t must be a positive real, got {self.delta_t!r}")
         if not (math.isfinite(self.f_s) and self.f_s > 0):
@@ -49,8 +48,7 @@ class GridSpec:
     @classmethod
     def from_duration(cls, n: int, delta_t: float) -> "GridSpec":
         """Grid for n samples over delta_t seconds; f_s is derived."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _check_size(n)
         if not (math.isfinite(delta_t) and delta_t > 0):
             raise ValueError(f"delta_t must be a positive real, got {delta_t!r}")
         return cls(int(n), float(delta_t), n / delta_t)
@@ -58,24 +56,20 @@ class GridSpec:
     @classmethod
     def from_sampling_rate(cls, n: int, f_s: float) -> "GridSpec":
         """Grid for n samples at f_s samples/second; delta_t is derived."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _check_size(n)
         if not (math.isfinite(f_s) and f_s > 0):
             raise ValueError(f"f_s must be a positive real, got {f_s!r}")
         return cls(int(n), n / f_s, float(f_s))
 
 
+def _check_size(n: int) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
 def _check_index(value: int, n: int, name: str) -> None:
     if not isinstance(value, (int, np.integer)) or not 1 <= value <= n:
         raise IndexError(f"{name} must be in [1..{n}], got {value!r}")
-
-
-def half_wave_length(n: int, j: int) -> int:
-    """Half-wave span of train j in subintervals: n - j + 1."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    _check_index(j, n, "train index j")
-    return n - j + 1
 
 
 def sign_at(n: int, i: int, j: int) -> int:
@@ -85,8 +79,7 @@ def sign_at(n: int, i: int, j: int) -> int:
     an even quotient means -1 on a zero remainder and +1 otherwise, an odd
     quotient the reverse. Equivalent to (-1) ** ((i - 1) // l_j).
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_size(n)
     _check_index(i, n, "subinterval index i")
     _check_index(j, n, "train index j")
     q, r = divmod(i, n - j + 1)
@@ -107,51 +100,15 @@ def train_frequency(grid: GridSpec, i: int) -> float:
     return grid.f_s / (2.0 * (grid.n - i + 1))
 
 
-def sample_train(grid: GridSpec, i: int, coefficient: float, k: int) -> float:
-    """Value of train i, scaled by its coefficient, at the midpoint of subinterval k."""
-    _check_index(k, grid.n, "subinterval index k")
-    return sign_at(grid.n, k, i) * coefficient
-
-
-@dataclass(frozen=True)
-class TrainDescriptor:
-    """Geometry of one train: 1-based index, half-wave span, frequency in hertz."""
-
-    index: int
-    half_wave_length: int
-    frequency: float
-
-    @classmethod
-    def from_grid(cls, grid: GridSpec, i: int) -> "TrainDescriptor":
-        return cls(i, half_wave_length(grid.n, i), train_frequency(grid, i))
-
-
 @dataclass(frozen=True)
 class SignPattern:
-    """The n-by-n arrangement of train signs, computed on demand.
+    """The validated size n of the n-by-n sign matrix.
 
-    Entry (i, j) is the sign of train j at subinterval i. Nothing beyond n
-    is stored, so patterns stay cheap at any size.
+    `solve` and `apply_sign_matrix` take a SignPattern rather than a bare n.
+    Entry (i, j) of the matrix is `sign_at(n, i, j)`; no entry is stored.
     """
 
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-
-    def sign(self, i: int, j: int) -> int:
-        return sign_at(self.n, i, j)
-
-    def column(self, j: int) -> np.ndarray:
-        """Signs of train j down all n subintervals, as an int8 vector of +-1."""
-        _check_index(j, self.n, "train index j")
-        l = self.n - j + 1
-        idx = np.arange(self.n, dtype=np.int64)
-        return (1 - 2 * ((idx // l) & 1)).astype(np.int8)
-
-    def row(self, i: int) -> np.ndarray:
-        """Signs of all n trains at subinterval i, as an int8 vector of +-1."""
-        _check_index(i, self.n, "subinterval index i")
-        lengths = np.arange(self.n, 0, -1, dtype=np.int64)
-        return (1 - 2 * (((i - 1) // lengths) & 1)).astype(np.int8)
+        _check_size(self.n)

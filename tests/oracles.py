@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Deliberately separate from the package: signs come from the run-length
-closed form, and linear systems are solved in exact Fraction arithmetic,
-so expected values carry no floating-point error of their own.
+closed form, linear systems are solved in exact Fraction arithmetic, so
+expected values carry no floating-point error of their own, and the
+generator's digits are drawn one at a time in Python integers.
 """
 
 from __future__ import annotations
@@ -87,3 +88,52 @@ def solve_sign_system_sieve(n: int, rhs) -> list[Fraction]:
             divisor_sums[i] += -x if (i // l) % 2 else x
     by_span[n] = v[0] - sum(by_span[1:n])
     return by_span[:0:-1]
+
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+# largest multiple of 10 below 2**64; draws at or above it are rejected
+REJECT_ABOVE = (1 << 64) - ((1 << 64) % 10)
+
+
+def mix64(z: int) -> int:
+    """splitmix64's output mix of one 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class ScalarDigitStream:
+    """The digit stream of `sqwt.random_series.DigitStream`, one draw per call."""
+
+    def __init__(self, seed: int):
+        self.state = seed
+
+    def next_digit(self) -> int:
+        while True:
+            self.state = (self.state + GAMMA) & MASK64
+            z = mix64(self.state)
+            if z < REJECT_ABOVE:
+                return z % 10
+
+
+def next_value(stream) -> float:
+    """Map the next eight digits of a stream to one value.
+
+    A first digit of 0-4 makes the value negative, 5-9 positive; digits two
+    and three are the integer part, the last five the fractional part. A
+    zero magnitude comes out as +0.0 regardless of the sign digit.
+    """
+    d = [stream.next_digit() for _ in range(8)]
+    scaled = (
+        (10 * d[1] + d[2]) * 100000
+        + d[3] * 10000
+        + d[4] * 1000
+        + d[5] * 100
+        + d[6] * 10
+        + d[7]
+    )
+    value = scaled / 100000.0
+    if d[0] <= 4 and scaled:
+        return -value
+    return value

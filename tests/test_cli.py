@@ -186,37 +186,11 @@ class TestGenerate:
                      "--out", str(tmp_path / "o.csv")]) == 2
 
 
-class TestBench:
-    def test_small_sizes(self, capsys):
-        assert main(["bench", "--sizes", "1,16"]) == 0
-        out = capsys.readouterr().out
-        lines = [line for line in out.splitlines() if line.strip()]
-        assert len(lines) == 3  # header + two rows
-        assert lines[1].lstrip().startswith("1")
-
-    def test_residual_zero_for_n1(self, capsys):
-        main(["bench", "--sizes", "1"])
-        row = capsys.readouterr().out.splitlines()[1]
-        assert "0.000e+00" in row
-
-    def test_residuals_within_gate_at_larger_sizes(self, capsys):
-        assert main(["bench", "--sizes", "256,1024"]) == 0
-        header, *rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 2
-        column = header.split().index("residual_inf")
-        residuals = [float(row.split()[column]) for row in rows]
-        assert all(r <= 1e-9 for r in residuals)
-
-    def test_above_former_cap_exit_0(self, capsys):
-        assert main(["bench", "--sizes", "20000"]) == 0
-        assert capsys.readouterr().out.splitlines()[1].split()[0] == "20000"
-
-    def test_bad_sizes_exit_2(self):
-        assert main(["bench", "--sizes", "16,frog"]) == 2
-        assert main(["bench", "--sizes", "0"]) == 2
-
-    def test_bad_repeats_exit_2(self):
-        assert main(["bench", "--sizes", "4", "--repeats", "0"]) == 2
+class TestRemovedBench:
+    def test_bench_is_no_longer_a_command(self):
+        result = run_cli("bench", "--sizes", "4")
+        assert result.returncode == 2
+        assert "invalid choice: 'bench'" in result.stderr
 
 
 class TestSpectrumPlotdata:
@@ -279,19 +253,20 @@ class TestStartup:
         import sqwt
 
         assert sqwt.__all__ == [
-            "DigitStream", "DimensionMismatch", "Dyad", "FileFormatError",
-            "GeneratedSeries", "GridSpec", "ReconstructionReport", "SignPattern",
-            "SolveReport", "Spectrum", "SquareWaveError", "TimeSeries",
-            "TrainDescriptor", "apply_sign_matrix", "forward", "generate",
-            "half_wave_length", "inverse", "next_value", "reconstruction_report",
-            "sample_train", "sign_at", "solve", "train_frequency",
+            "DimensionMismatch", "Dyad", "FileFormatError", "GeneratedSeries",
+            "GridSpec", "ReconstructionReport", "SignPattern", "SolveReport",
+            "Spectrum", "SquareWaveError", "TimeSeries", "apply_sign_matrix",
+            "forward", "generate", "inverse", "reconstruction_report", "sign_at",
+            "solve", "train_frequency",
         ]
         for name in sqwt.__all__:
             value = getattr(sqwt, name)
             assert getattr(import_module(value.__module__), name) is value
         assert set(sqwt.__all__) <= set(dir(sqwt))
-        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-            sqwt.no_such_name
+        for name in ("no_such_name", "DigitStream", "next_value", "TrainDescriptor",
+                     "half_wave_length", "sample_train"):
+            with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+                getattr(sqwt, name)
 
     def child_blas_vars(self, tmp_path, **user_set) -> dict:
         """The BLAS thread variables a `python -m sqwt` child holds when it exits."""

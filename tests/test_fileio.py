@@ -332,7 +332,7 @@ class TestSpectrumBytes:
 
 
 class TestSpectrumRecordFaults:
-    """read_spectrum checks records as columns but names the first bad record."""
+    """read_spectrum names the first bad record and its first failed check."""
 
     def _doc(self):
         return json.loads(reference_spectrum_text(sample_spectrum()))
@@ -447,7 +447,6 @@ class TestSpectrumRecordFaults:
 
     @pytest.mark.parametrize("pos", [0, 2, 3, 7])
     def test_fault_in_a_later_block_named(self, tmp_path, monkeypatch, pos):
-        monkeypatch.setattr(fileio, "_BLOCK", 3)
         monkeypatch.setattr(_spectrumblocks, "_CHUNK", 256)
         message = self._read_doc(tmp_path, self._set(pos, "c", None))
         assert message == f"dyad {pos + 1}: c must be a finite number, got None"

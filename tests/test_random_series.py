@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from sqwt import DigitStream, DimensionMismatch, GridSpec, generate, next_value, train_frequency
+from sqwt import DimensionMismatch, GridSpec, generate, train_frequency
 from sqwt import random_series
-from sqwt.random_series import _GAMMA, _MASK64, _REJECT_ABOVE, _mix64
+from sqwt.random_series import DigitStream
+
+from oracles import GAMMA, MASK64, REJECT_ABOVE, ScalarDigitStream, mix64, next_value
 
 # sha256 of `sqwt generate --seed 42 --n 10000 --fs 2000`, as written by the
 # scalar generator that drew one digit per next_digit call
@@ -25,20 +27,20 @@ def _unshift(y, shift):
 
 
 def _unmix64(z):
-    """Inverse of random_series._mix64."""
+    """Inverse of oracles.mix64."""
     z = _unshift(z, 31)
-    z = _unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64, 27)
-    return _unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64, 30)
+    z = _unshift((z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64, 27)
+    return _unshift((z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64, 30)
 
 
 def seed_rejecting_draw(k):
     """A seed whose k-th draw (1-based) mixes to 2**64 - 1, which is rejected."""
-    return (_unmix64(_MASK64) - k * _GAMMA) & _MASK64
+    return (_unmix64(MASK64) - k * GAMMA) & MASK64
 
 
 def scalar_values(seed, n):
-    """The reference stream: n calls of next_value on a fresh DigitStream."""
-    stream = DigitStream(seed)
+    """The reference stream: n calls of oracles.next_value on one scalar stream."""
+    stream = ScalarDigitStream(seed)
     return np.array([next_value(stream) for _ in range(n)])
 
 
@@ -52,14 +54,17 @@ class FixedDigits:
 
     def __init__(self, digits):
         self._digits = list(digits)
-        self.consumed = 0
 
     def next_digit(self):
-        self.consumed += 1
         return self._digits.pop(0)
 
 
-class TestNextValue:
+def mapped(digits):
+    """The value `generate` makes of one row of eight digits."""
+    return float(random_series._values_from_digits(np.array([digits]))[0])
+
+
+class TestDigitMapping:
     @pytest.mark.parametrize(
         "digits,expected",
         [
@@ -72,15 +77,15 @@ class TestNextValue:
         ],
     )
     def test_digit_mapping(self, digits, expected):
-        assert next_value(FixedDigits(digits)) == expected
+        assert mapped(digits) == expected
 
-    def test_consumes_exactly_eight_digits(self):
-        stream = FixedDigits([1] * 20)
-        next_value(stream)
-        assert stream.consumed == 8
+    def test_consumes_exactly_eight_digits_per_value(self):
+        digits = DigitStream(42)._digits(8 * 10).reshape(10, 8)
+        got = generate(42, 10, GridSpec.from_sampling_rate(10, 2000.0)).series.values
+        assert_same_values(got, random_series._values_from_digits(digits))
 
     def test_negative_zero_normalized(self):
-        value = next_value(FixedDigits((2, 0, 0, 0, 0, 0, 0, 0)))
+        value = mapped((2, 0, 0, 0, 0, 0, 0, 0))
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0
 
@@ -94,26 +99,18 @@ class TestDigitStream:
                 DigitStream(bad)
 
     def test_digits_in_range(self):
-        stream = DigitStream(99)
-        digits = [stream.next_digit() for _ in range(2000)]
-        assert set(digits) <= set(range(10))
+        digits = DigitStream(99)._digits(2000)
+        assert set(digits.tolist()) <= set(range(10))
 
     def test_same_seed_same_sequence(self):
-        a = DigitStream(1234)
-        b = DigitStream(1234)
-        assert [a.next_digit() for _ in range(500)] == [b.next_digit() for _ in range(500)]
+        assert np.array_equal(DigitStream(1234)._digits(500), DigitStream(1234)._digits(500))
 
     def test_different_seeds_diverge(self):
-        a = DigitStream(1)
-        b = DigitStream(2)
-        assert [a.next_digit() for _ in range(100)] != [b.next_digit() for _ in range(100)]
+        assert not np.array_equal(DigitStream(1)._digits(100), DigitStream(2)._digits(100))
 
     def test_digits_uniform_chi_square(self):
         # fixed seed, so this is a deterministic regression, not a flaky one
-        stream = DigitStream(20240811)
-        counts = np.zeros(10, dtype=np.int64)
-        for _ in range(1_000_000):
-            counts[stream.next_digit()] += 1
+        counts = np.bincount(DigitStream(20240811)._digits(1_000_000), minlength=10)
         assert chisquare(counts).pvalue > 0.001
 
 
@@ -143,8 +140,8 @@ class TestGenerate:
         assert np.max(np.abs(scaled - np.round(scaled))) < 1e-6
 
     def test_sign_balance(self):
-        stream = DigitStream(77)
-        negatives = sum(1 for _ in range(100_000) if next_value(stream) < 0)
+        values = generate(77, 100_000, self.grid(100_000)).series.values
+        negatives = int(np.count_nonzero(values < 0))
         # binomial: 3 sigma around 50% of 1e5 draws; zeros count as positive,
         # which only nudges the negative side down by ~1 expected draw
         sigma = math.sqrt(100_000 * 0.25)
@@ -188,14 +185,14 @@ class TestVectorisedGenerate:
         assert_same_values(got, scalar_values(42, n))
 
     def test_unmix_inverts_mix(self):
-        for z in (0, 1, 42, _GAMMA, _MASK64, 0x0123456789ABCDEF):
-            assert _mix64(_unmix64(z)) == z
+        for z in (0, 1, 42, GAMMA, MASK64, 0x0123456789ABCDEF):
+            assert mix64(_unmix64(z)) == z
 
     def test_documented_rejecting_seed(self):
         seed = 13295932390644334935
         assert seed == seed_rejecting_draw(5)
         rejected = [k for k in range(1, 41)
-                    if _mix64((seed + k * _GAMMA) & _MASK64) >= _REJECT_ABOVE]
+                    if mix64((seed + k * GAMMA) & MASK64) >= REJECT_ABOVE]
         assert rejected == [5]
         got = generate(seed, 5, GridSpec.from_sampling_rate(5, 2000.0)).series.values
         assert_same_values(got, scalar_values(seed, 5))
@@ -211,13 +208,13 @@ class TestVectorisedGenerate:
         assert_same_values(got, scalar_values(seed, n))
 
     @pytest.mark.parametrize("seed", [42, seed_rejecting_draw(3)])
-    def test_block_draw_advances_state_like_next_digit(self, seed):
-        scalar = DigitStream(seed)
+    def test_block_draw_advances_state_like_scalar_draws(self, seed):
+        scalar = ScalarDigitStream(seed)
         vector = DigitStream(seed)
         expected = [scalar.next_digit() for _ in range(40)]
         assert vector._digits(40).tolist() == expected
-        assert vector._state == scalar._state
-        assert vector.next_digit() == scalar.next_digit()
+        assert vector._state == scalar.state
+        assert vector._digits(1).tolist() == [scalar.next_digit()]
 
     def test_cli_bytes_pinned(self, tmp_path):
         out = tmp_path / "gen.csv"

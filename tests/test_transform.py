@@ -59,9 +59,7 @@ class TestSpectrum:
     def test_dyads_ascending(self):
         spectrum = Spectrum(GridSpec.from_duration(4, 2.0), [1.0, 2.0, 3.0, 4.0])
         assert [d.index for d in spectrum.dyads] == [1, 2, 3, 4]
-        assert spectrum.dyad(4) == Dyad(4, spectrum.grid.f_s / 2.0, 4.0)
-        with pytest.raises(IndexError):
-            spectrum.dyad(5)
+        assert spectrum.dyads[3] == Dyad(4, spectrum.grid.f_s / 2.0, 4.0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_frequencies_match_train_frequency_exactly(self, n):

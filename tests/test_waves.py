@@ -1,17 +1,9 @@
 import math
+import re
 
-import numpy as np
 import pytest
 
-from sqwt import (
-    GridSpec,
-    SignPattern,
-    TrainDescriptor,
-    half_wave_length,
-    sample_train,
-    sign_at,
-    train_frequency,
-)
+from sqwt import GridSpec, SignPattern, sign_at, train_frequency
 
 from oracles import run_length_sign
 
@@ -53,18 +45,17 @@ class TestGridSpec:
             GridSpec.from_sampling_rate(4, 0.0)
 
 
-class TestHalfWaveLength:
-    @pytest.mark.parametrize(
-        "n,j,expected",
-        [(8, 5, 4), (10, 10, 1), (10, 1, 10), (1, 1, 1)],
-    )
-    def test_examples(self, n, j, expected):
-        assert half_wave_length(n, j) == expected
-
-    @pytest.mark.parametrize("j", [0, 9, -3])
-    def test_out_of_range(self, j):
-        with pytest.raises(IndexError):
-            half_wave_length(8, j)
+@pytest.mark.parametrize("check", [
+    lambda n: GridSpec(n, 1.0, 1.0),
+    lambda n: GridSpec.from_duration(n, 1.0),
+    lambda n: GridSpec.from_sampling_rate(n, 1.0),
+    lambda n: sign_at(n, 1, 1),
+    SignPattern,
+], ids=["GridSpec", "from_duration", "from_sampling_rate", "sign_at", "SignPattern"])
+@pytest.mark.parametrize("n", [0, 2.5, "3"])
+def test_every_size_check_names_n(check, n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+        check(n)
 
 
 class TestSignAt:
@@ -112,36 +103,6 @@ class TestSignPattern:
         with pytest.raises(ValueError):
             SignPattern(0)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9, 24])
-    def test_row_and_column_match_scalar(self, n):
-        pattern = SignPattern(n)
-        for i in range(1, n + 1):
-            assert list(pattern.row(i)) == [sign_at(n, i, j) for j in range(1, n + 1)]
-        for j in range(1, n + 1):
-            assert list(pattern.column(j)) == [sign_at(n, i, j) for i in range(1, n + 1)]
-
-    @pytest.mark.parametrize("n", [1, 3, 8, 17, 40])
-    def test_columns_are_alternating_runs(self, n):
-        pattern = SignPattern(n)
-        for j in range(1, n + 1):
-            l = n - j + 1
-            expected = []
-            sign = 1
-            while len(expected) < n:
-                expected.extend([sign] * l)
-                sign = -sign
-            assert list(pattern.column(j)) == expected[:n]
-
-    def test_first_column_all_positive(self):
-        assert np.all(SignPattern(31).column(1) == 1)
-
-    def test_index_checks(self):
-        pattern = SignPattern(4)
-        with pytest.raises(IndexError):
-            pattern.column(5)
-        with pytest.raises(IndexError):
-            pattern.row(0)
-
 
 class TestTrainFrequency:
     @pytest.mark.parametrize(
@@ -176,31 +137,3 @@ class TestTrainFrequency:
         grid = GridSpec.from_duration(4, 1.0)
         with pytest.raises(IndexError):
             train_frequency(grid, 5)
-
-
-class TestSampleTrain:
-    def test_examples(self):
-        grid = GridSpec.from_duration(8, 2.0)
-        assert sample_train(grid, 8, 118.0, 2) == -118.0
-        assert sample_train(grid, 1, 170.5, 6) == 170.5
-        assert sample_train(grid, 4, 0.0, 3) == 0.0
-
-    def test_out_of_range(self):
-        grid = GridSpec.from_duration(8, 2.0)
-        with pytest.raises(IndexError):
-            sample_train(grid, 1, 1.0, 9)
-        with pytest.raises(IndexError):
-            sample_train(grid, 0, 1.0, 1)
-
-
-class TestTrainDescriptor:
-    def test_from_grid(self):
-        grid = GridSpec.from_duration(8, 2.0)
-        d = TrainDescriptor.from_grid(grid, 5)
-        assert d == TrainDescriptor(index=5, half_wave_length=4, frequency=0.5)
-
-    def test_descriptors_cover_all_lengths(self):
-        grid = GridSpec.from_duration(6, 3.0)
-        descriptors = [TrainDescriptor.from_grid(grid, i) for i in range(1, 7)]
-        assert [d.half_wave_length for d in descriptors] == [6, 5, 4, 3, 2, 1]
-        assert descriptors[-1].frequency == grid.f_s / 2.0
