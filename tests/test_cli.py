@@ -192,6 +192,13 @@ class TestRemovedBench:
         assert result.returncode == 2
         assert "invalid choice: 'bench'" in result.stderr
 
+    def test_help_lists_only_the_pipeline_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: sqwt [-h] {analyze,reconstruct,generate,spectrum-plotdata} ..."
+
 
 class TestSpectrumPlotdata:
     def test_rows_match_n(self, tmp_path, paper_file):

@@ -1,9 +1,10 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from sqwt import GridSpec, SignPattern, sign_at, train_frequency
+from sqwt import GridSpec, SignPattern, apply_sign_matrix, sign_at, train_frequency
 
 from oracles import run_length_sign
 
@@ -97,11 +98,37 @@ class TestSignAt:
             for i in range(1, n + 1):
                 assert sign_at(n, i, n) == (1 if i % 2 == 1 else -1)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 17, 40])
+    def test_columns_are_alternating_runs(self, n):
+        for j in range(1, n + 1):
+            l = n - j + 1
+            expected = []
+            sign = 1
+            while len(expected) < n:
+                expected.extend([sign] * l)
+                sign = -sign
+            assert [sign_at(n, i, j) for i in range(1, n + 1)] == expected[:n]
+
+    def test_first_train_never_flips(self):
+        assert all(sign_at(31, i, 1) == 1 for i in range(1, 32))
+
+    def test_numpy_integers_accepted_and_floats_rejected(self):
+        assert sign_at(np.int64(8), np.int64(4), np.int64(6)) == -1
+        with pytest.raises(IndexError):
+            sign_at(8, 4.0, 6)
+        with pytest.raises(IndexError):
+            sign_at(8, 4, 6.0)
+
 
 class TestSignPattern:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             SignPattern(0)
+
+    def test_numpy_integer_size_accepted(self):
+        x = np.array([1.0, -2.0, 3.0])
+        assert np.array_equal(apply_sign_matrix(SignPattern(np.int64(3)), x),
+                              apply_sign_matrix(SignPattern(3), x))
 
 
 class TestTrainFrequency:
@@ -137,3 +164,19 @@ class TestTrainFrequency:
         grid = GridSpec.from_duration(4, 1.0)
         with pytest.raises(IndexError):
             train_frequency(grid, 5)
+
+    @pytest.mark.parametrize("i", [0, -3, 2.5])
+    def test_index_outside_grid_rejected(self, i):
+        grid = GridSpec.from_duration(4, 1.0)
+        with pytest.raises(IndexError, match="train index i"):
+            train_frequency(grid, i)
+
+    @pytest.mark.parametrize("n,i,span", [(8, 5, 4), (10, 10, 1), (10, 1, 10), (1, 1, 1)])
+    def test_half_wave_span(self, n, i, span):
+        # train i holds its sign for n - i + 1 subintervals, and its frequency
+        # is f_s over twice that span
+        grid = GridSpec.from_duration(n, 2.0)
+        assert grid.f_s / (2.0 * train_frequency(grid, i)) == pytest.approx(span, rel=1e-15)
+        assert [sign_at(n, k, i) for k in range(1, span + 1)] == [1] * span
+        if span < n:
+            assert sign_at(n, span + 1, i) == -1
