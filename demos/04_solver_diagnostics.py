@@ -18,8 +18,7 @@ def main():
     for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512):
         rhs = rng.uniform(-100, 100, n)
         _, report = solve(SignPattern(n), rhs)
-        print(f"  n={n:4d}: min_pivot={report.min_pivot:g}  "
-              f"residual_inf={report.residual_inf_norm:.3e}  "
+        print(f"  n={n:4d}: residual_inf={report.residual_inf_norm:.3e}  "
               f"refinement_steps={report.refinement_steps_used}")
 
     print("\ncoefficient growth for |V| <= 100:")

@@ -4,8 +4,8 @@ The solver is single-threaded and deterministic, so --threads is accepted
 and validated for compatibility with existing scripts but changes nothing.
 sqwt makes no BLAS call, so when neither OPENBLAS_NUM_THREADS nor
 OMP_NUM_THREADS is set, a CLI process sets both to 1 before numpy starts.
-Exit codes: 0 success, 2 bad flags, unparsable input or values whose
-transform overflows float64.
+Exit codes: 0 success, 2 bad flags, unparsable input, an output that
+cannot be written, or values whose transform overflows float64.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def _cmd_analyze(args) -> int:
     recon = reconstruction_report(series, inverse(spectrum))
     print(f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz")
     print(
-        f"solve: min_pivot={solve_report.min_pivot:.6g} "
-        f"residual_inf={solve_report.residual_inf_norm:.3e} "
+        f"solve: residual_inf={solve_report.residual_inf_norm:.3e} "
         f"refinement_steps={solve_report.refinement_steps_used} "
         f"elapsed={solve_report.elapsed_seconds:.4f} s"
     )

@@ -12,7 +12,7 @@ class DimensionMismatch(SquareWaveError):
 
 
 class FileFormatError(SquareWaveError):
-    """An input file could not be parsed; carries the path and, when known, the line."""
+    """A file could not be read, parsed or written; carries the path and, when known, the line."""
 
     def __init__(self, path: str, message: str, line: int | None = None):
         self.path = str(path)

@@ -4,12 +4,17 @@ A series file is one decimal value per line with an optional `value`
 header. A spectrum file is a JSON document holding the grid metadata and
 per-dyad records; numbers are stored at full precision (shortest
 round-trip decimal form) next to a six-decimal display string.
+
+`write_spectrum` and the block reader, `read_canonical`, both take the
+spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; a
+file that departs from it is read as one JSON document.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +32,15 @@ _BLOCK = 1 << 14
 # needs no JSON escaping
 _DISPLAY = "(%.6f; %.6f)"
 _DISPLAY_CHARS = b"-0123456789.; ()"
-# one dyad record laid out as json.dumps(doc, indent=2) lays it out
+# json.dumps(doc, indent=2) + "\n" of a spectrum: a header ending in
+# _HEAD_END, dyad records joined by _RECORD_SEP, then _TAIL
 _DYAD_RECORD = (
     '    {\n      "i": %d,\n      "f_hz": %r,\n      "c": %r,\n'
     f'      "display": "{_DISPLAY}"\n    }}'
 )
+_HEAD_END = '\n  "dyads": [\n'
+_RECORD_SEP = ",\n"
+_TAIL = "\n  ]\n}\n"
 _RECORD_KEYS = ("i", "f_hz", "c")
 # ASCII characters that float() accepts inside a number (digit-group
 # underscores) or that str.splitlines() splits a line at; no decimal line
@@ -39,22 +48,13 @@ _RECORD_KEYS = ("i", "f_hz", "c")
 _NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e")
 
 
-def _write_rows(path, columns, template: str, sep: str, head: str, tail: str) -> None:
-    """Write head, `template % row` for each row of the columns joined by sep, then tail.
-
-    Rows go through `.tolist()` in blocks of _BLOCK, so floats print in
-    shortest round-trip form and memory stays bounded however long the
-    columns are.
-    """
-    n = len(columns[0])
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(head)
-        for start in range(0, n, _BLOCK):
-            if start:
-                out.write(sep)
-            block = [column[start : start + _BLOCK].tolist() for column in columns]
-            out.write(sep.join([template % row for row in zip(*block)]))
-        out.write(tail)
+def _write_text(path, pieces) -> None:
+    """Write an iterable of strings to a file, as each one comes; an OSError names the file."""
+    try:
+        with Path(path).open("w", encoding="utf-8") as out:
+            out.writelines(pieces)
+    except OSError as exc:
+        raise FileFormatError(str(path), f"cannot write file: {exc.strerror}") from exc
 
 
 def _number_fault(v, what: str, positive: bool = False) -> str | None:
@@ -117,17 +117,9 @@ def _raise_series_character_fault(p: str, text: str) -> None:
             raise FileFormatError(p, f"not a decimal number: {token!r}", lineno)
 
 
-def _write_repr_rows(path, columns) -> None:
-    """Write one line per row of the float64 columns: each value's `repr`, joined by ','."""
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.writelines(repr_rows(columns))
-        if not len(columns[0]):
-            out.write("\n")
-
-
 def write_series_values(path, values) -> None:
     """Write one value per line in shortest round-trip decimal form."""
-    _write_repr_rows(path, [values])
+    _write_text(path, repr_rows([values]) if len(values) else ["\n"])
 
 
 def format_dyad_display(frequency: float, coefficient: float) -> str:
@@ -135,25 +127,36 @@ def format_dyad_display(frequency: float, coefficient: float) -> str:
     return _DISPLAY % (frequency, coefficient)
 
 
+def _spectrum_text(spectrum: Spectrum):
+    """Yield the header, the dyad records in blocks of _BLOCK, then the tail."""
+    grid = spectrum.grid
+    yield "{" + "".join(
+        f'\n  "{key}": {json.dumps(value)},'
+        for key, value in (
+            ("n", grid.n), ("delta_t_s", grid.delta_t), ("f_s_hz", grid.f_s),
+            ("unit", spectrum.unit),
+        )
+    ) + _HEAD_END
+    freqs = spectrum.frequencies
+    coeffs = spectrum.coefficients
+    columns = [np.arange(1, grid.n + 1), freqs, coeffs, freqs, coeffs]
+    for start in range(0, grid.n, _BLOCK):
+        if start:
+            yield _RECORD_SEP
+        block = [column[start : start + _BLOCK].tolist() for column in columns]
+        yield _RECORD_SEP.join([_DYAD_RECORD % row for row in zip(*block)])
+    yield _TAIL
+
+
 def write_spectrum(path, spectrum: Spectrum) -> None:
     """Serialize a spectrum as JSON with full-precision numbers.
 
     The bytes are those of `json.dumps(doc, indent=2) + "\\n"`; the header
     scalars go through json.dumps and the dyad records are formatted
-    directly.
+    directly, in blocks through `.tolist()`, so floats print in shortest
+    round-trip form and memory stays bounded at any n.
     """
-    grid = spectrum.grid
-    head = "{\n" + "".join(
-        f'  "{key}": {json.dumps(value)},\n'
-        for key, value in (
-            ("n", grid.n), ("delta_t_s", grid.delta_t), ("f_s_hz", grid.f_s),
-            ("unit", spectrum.unit),
-        )
-    ) + '  "dyads": [\n'
-    freqs = spectrum.frequencies
-    coeffs = spectrum.coefficients
-    columns = [np.arange(1, grid.n + 1), freqs, coeffs, freqs, coeffs]
-    _write_rows(path, columns, _DYAD_RECORD, ",\n", head, "\n  ]\n}\n")
+    _write_text(path, _spectrum_text(spectrum))
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -243,6 +246,166 @@ def _read_document(path: Path) -> Spectrum:
     return Spectrum(grid, [rec["c"] for rec in records], doc["unit"])
 
 
+_CHUNK = 1 << 18
+# the fixed text before each record's i, f_hz, c and display tokens and
+# after its display token; the reader ends the last record with _RECORD_SEP too
+_SEGMENTS = tuple(segment.encode() for segment in (_DYAD_RECORD + _RECORD_SEP)
+                  .replace("%d", "%r").replace(_DISPLAY, "%r").split("%r"))
+# where the f_hz, c and display tokens start, after the newline that ends
+# the line before theirs: each segment before them starts with ",\n"
+_TOKEN_OFFSETS = np.array([[len(segment) - 1] for segment in _SEGMENTS[1:4]])
+# the reader gathers _WINDOW bytes at the start of each segment and token;
+# a start lies at most 19 bytes (the largest of _TOKEN_OFFSETS) past a
+# newline, so padding each block with _PAD keeps every window inside it
+_WINDOW = 32
+_PAD = bytes(_WINDOW + 32)
+_LANES = np.arange(_WINDOW, dtype=np.uint8)
+# each segment zero-padded to 3 little-endian words, and a mask of its
+# bytes, shaped to broadcast over (segment, word, record)
+_SEGMENT_TEXT = np.frombuffer(
+    b"".join(segment.ljust(24, b"\0") for segment in _SEGMENTS), dtype="<u8"
+).reshape(len(_SEGMENTS), 3, 1)
+_SEGMENT_MASK = np.frombuffer(
+    b"".join(bytes(len(segment) * [0xFF]).ljust(24, b"\0") for segment in _SEGMENTS),
+    dtype="<u8",
+).reshape(len(_SEGMENTS), 3, 1)
+_NOT_DISPLAY = np.ones(256, dtype=bool)
+_NOT_DISPLAY[list(_DISPLAY_CHARS)] = False
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _block(buf: memoryview, done: int, n: int, f_s: float):
+    """(coefficients, bytes used) for the complete records at the start of a canonical block.
+
+    `buf` starts at a record, ends with _PAD, and comes after `done`
+    records. Returns None if it holds no complete record, departs from the
+    canonical layout, or holds a record that `_record_fault` would name.
+    A record is 6 lines; from the newlines, the reader gathers _WINDOW
+    bytes at each fixed segment and token of every record and checks them
+    as arrays: the segments against _SEGMENTS, each `i` digit by digit
+    against its index, each display string against _DISPLAY_CHARS. The
+    f_hz and c tokens of the block are parsed by one json.loads.
+    """
+    data = np.frombuffer(buf, dtype=np.uint8)
+    newlines = np.flatnonzero(data == 10)
+    count = len(newlines) // 6
+    if count == 0 or done + count > n:
+        return None
+    line_ends = newlines[: 6 * count].reshape(count, 6).T
+    # per record: where its five segments and its f_hz, c, display tokens start
+    starts = np.empty((8, count), dtype=np.int64)
+    starts[0, 0] = 0
+    starts[0, 1:] = line_ends[5, :-1] + 1
+    starts[1:5] = line_ends[1:5] - 1
+    starts[5:] = line_ends[1:4] + _TOKEN_OFFSETS
+    # the _WINDOW bytes at each byte offset: an unaligned view, no copy
+    at = np.ndarray((len(buf) - _WINDOW + 1,), dtype=f"V{_WINDOW}", buffer=buf, strides=(1,))
+    windows = at[starts].view(np.uint8).reshape(8, count, _WINDOW)
+    # records innermost, so that each operation below runs over long rows
+    words = np.ascontiguousarray(windows[:5].view("<u8")[:, :, :3].transpose(0, 2, 1))
+    words ^= _SEGMENT_TEXT
+    words &= _SEGMENT_MASK
+    if np.any(words):
+        return None
+
+    # each i has as many characters as its index has digits, and they match
+    index = np.arange(done + 1, done + count + 1)
+    digits = np.searchsorted(_POW10, index, side="right")
+    width = int(digits[-1])
+    i_at = len(_SEGMENTS[0])
+    if width > _WINDOW - i_at or not np.array_equal(starts[1] - starts[0] - i_at, digits):
+        return None
+    place = np.arange(width)[:, None]
+    expected = (index // _POW10[np.maximum(digits - 1 - place, 0)] % 10).astype(np.uint8)
+    expected += ord("0")
+    if not np.all((windows[0, :, i_at : i_at + width].T == expected) | (place >= digits)):
+        return None
+
+    # f_hz and c with their commas, and display without its closing quote
+    lengths = line_ends[2:5] - starts[5:]
+    lengths[2] -= 1
+    if not (np.all(lengths[:2] > 1) and np.all(lengths[:2] <= _WINDOW)
+            and np.all(lengths[2] >= 0)):
+        return None
+    lengths[1, -1] -= 1  # no comma after the last c in the array below
+    # each token padded with spaces, which display strings may hold
+    tokens = windows[5:]
+    widths = np.minimum(lengths, _WINDOW).astype(np.uint8)[:, :, None]
+    np.putmask(tokens, _LANES >= widths, ord(" "))
+    if np.any(np.take(_NOT_DISPLAY, tokens[2])):
+        return None
+    for rec in np.flatnonzero(lengths[2] > _WINDOW).tolist():
+        start = int(starts[7, rec])
+        if buf[start : start + int(lengths[2, rec])].tobytes().translate(None, _DISPLAY_CHARS):
+            return None
+    try:  # every f_hz, then every c
+        values = json.loads("[" + tokens[:2].tobytes().decode("ascii") + "]")
+    except (ValueError, RecursionError):
+        return None
+    column = _float_column(values) if len(values) == 2 * count else None
+    if column is None:
+        return None
+    spans = np.arange(n - done, n - done - count, -1, dtype=np.float64)
+    if not _frequencies_match(column[:count], f_s / (2.0 * spans)):
+        return None
+    return column[count:], int(line_ends[5, -1]) + 1
+
+
+def read_canonical(file, p: str) -> Spectrum | None:
+    """The spectrum in a binary file of the canonical layout; None if it departs from it.
+
+    Decodes the header with json.loads, then reads the records in chunks
+    of _CHUNK bytes, carrying a partial last record into the next chunk.
+    """
+    size = os.fstat(file.fileno()).st_size
+    head = file.read(_CHUNK)
+    pos = head.find(_HEAD_END.encode()) + len(_HEAD_END)
+    if pos < len(_HEAD_END):
+        return None
+    try:
+        # the dyads array then closes the top-level object
+        doc = json.loads(head[:pos].decode("utf-8") + "]}")
+        grid = _grid(doc, p)
+    except (ValueError, RecursionError, FileFormatError):
+        return None
+    end = size - len(_TAIL)
+    if pos >= end or grid.n * len(_SEGMENTS[0]) > size:  # too few bytes for n records
+        return None
+    file.seek(end)
+    if file.read() != _TAIL.encode():
+        return None
+    file.seek(pos)
+    # one buffer for every block: a carried partial record, a chunk, the
+    # last record's _RECORD_SEP and _PAD; a record longer than _CHUNK falls back
+    buf = bytearray(min(2 * _CHUNK, size) + len(_RECORD_SEP) + len(_PAD))
+    view = memoryview(buf)
+    coefficients = np.empty(grid.n)
+    carry = done = 0
+    while pos < end:
+        got = file.readinto(view[carry : carry + min(_CHUNK, end - pos)])
+        if not got:
+            return None
+        pos += got
+        stop = carry + got
+        if pos >= end:
+            buf[stop : stop + len(_RECORD_SEP)] = _RECORD_SEP.encode()
+            stop += len(_RECORD_SEP)
+        buf[stop : stop + len(_PAD)] = _PAD
+        block = _block(view[: stop + len(_PAD)], done, grid.n, grid.f_s)
+        if block is None:
+            return None
+        column, used = block
+        coefficients[done : done + len(column)] = column
+        done += len(column)
+        carry = stop - used
+        if carry > _CHUNK:
+            return None
+        buf[:carry] = buf[used:stop]
+    if carry or done != grid.n:
+        return None
+    return Spectrum(grid, coefficients, doc["unit"])
+
+
 def read_spectrum(path) -> Spectrum:
     """Parse and validate a spectrum JSON file.
 
@@ -254,8 +417,6 @@ def read_spectrum(path) -> Spectrum:
     same result. A fault in either case is reported as the document reader
     reports it.
     """
-    from ._spectrumblocks import read_canonical
-
     path = Path(path)
     spectrum = None
     if path.is_file():  # a pipe can be read only once: as a document
@@ -269,7 +430,7 @@ def read_spectrum(path) -> Spectrum:
 
 def write_plotdata(path, spectrum: Spectrum) -> None:
     """Write a two-column CSV of (frequency, coefficient), one dyad per line."""
-    _write_repr_rows(path, [spectrum.frequencies, spectrum.coefficients])
+    _write_text(path, repr_rows([spectrum.frequencies, spectrum.coefficients]))
 
 
 def write_report(path, report: ReconstructionReport) -> None:
@@ -279,4 +440,4 @@ def write_report(path, report: ReconstructionReport) -> None:
         "index_of_max": report.index_of_max,
         "rms_error": report.rms_error,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    _write_text(path, [json.dumps(doc, indent=2, allow_nan=False) + "\n"])

@@ -31,9 +31,10 @@ from .waves import SignPattern
 class SolveReport:
     """Diagnostics from one solve.
 
-    min_pivot is the smallest diagonal magnitude of the triangular system,
-    always 1.0; residual_inf_norm is recomputed matrix-free after the
-    refinement step.
+    min_pivot is the constant 1.0, the diagonal of the unit triangular
+    system; it stays because the acceptance gate's nonsingularity sweep
+    (criterion 7) reads it. residual_inf_norm is recomputed matrix-free
+    after the refinement step.
     """
 
     min_pivot: float

@@ -51,6 +51,13 @@ class TestAnalyze:
         assert main(["analyze", str(paper_file), "--fs", "4", "--out", str(out)]) == 0
         assert read_spectrum(out).grid == GridSpec(8, 2.0, 4.0)
 
+    def test_analyze_stdout_has_no_pivot(self, tmp_path, paper_file, capsys):
+        assert main(["analyze", str(paper_file), "--fs", "4",
+                     "--out", str(tmp_path / "s.json")]) == 0
+        solve_line = capsys.readouterr().out.splitlines()[1]
+        assert solve_line.startswith("solve: residual_inf=")
+        assert "min_pivot" not in solve_line
+
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -241,6 +248,39 @@ class TestEndToEnd:
         result = run_cli("analyze", str(paper_file), "--delta-t", "2",
                          "--out", str(tmp_path / "s.json"), "--threads", "0")
         assert result.returncode == 2
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with a message naming it, not a traceback."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        series = tmp_path / "series.csv"
+        spectrum = tmp_path / "spectrum.json"
+        write_series_values(series, PAPER_VALUES)
+        write_spectrum(spectrum, Spectrum(GridSpec(8, 2.0, 4.0), PAPER_VALUES))
+        return series, spectrum
+
+    @pytest.mark.parametrize("kind", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command", [
+        "analyze --out", "analyze --report", "reconstruct", "generate", "spectrum-plotdata",
+    ])
+    def test_exit_2_naming_the_path(self, tmp_path, inputs, command, kind):
+        series, spectrum = inputs
+        target = str(tmp_path / "missing" / "out" if kind == "missing directory" else tmp_path)
+        args = {
+            "analyze --out": ["analyze", str(series), "--fs", "4", "--out", target],
+            "analyze --report": ["analyze", str(series), "--fs", "4",
+                                 "--out", str(tmp_path / "s.json"), "--report", target],
+            "reconstruct": ["reconstruct", str(spectrum), "--out", target],
+            "generate": ["generate", "--seed", "1", "--n", "10", "--fs", "10",
+                         "--out", target],
+            "spectrum-plotdata": ["spectrum-plotdata", str(spectrum), "--out", target],
+        }[command]
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert f"error: {target}: cannot write file: " in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, _spectrumblocks, fileio
+from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, fileio
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -447,7 +447,7 @@ class TestSpectrumRecordFaults:
 
     @pytest.mark.parametrize("pos", [0, 2, 3, 7])
     def test_fault_in_a_later_block_named(self, tmp_path, monkeypatch, pos):
-        monkeypatch.setattr(_spectrumblocks, "_CHUNK", 256)
+        monkeypatch.setattr(fileio, "_CHUNK", 256)
         message = self._read_doc(tmp_path, self._set(pos, "c", None))
         assert message == f"dyad {pos + 1}: c must be a finite number, got None"
 
@@ -466,7 +466,7 @@ class TestSpectrumRecordFaults:
     ])
     def test_fault_in_last_record_or_past_first_block(self, tmp_path, monkeypatch,
                                                        chunk, pos, key, value, message):
-        monkeypatch.setattr(_spectrumblocks, "_CHUNK", chunk)
+        monkeypatch.setattr(fileio, "_CHUNK", chunk)
         f = float(sample_spectrum().frequencies[pos])
         message = message.format(i=pos + 1, f=f)
         assert self._read_doc(tmp_path, self._set(pos, key, value)) == message
@@ -504,10 +504,10 @@ NOT_JSON = {"raw quote in display", "control character in display", "blank lines
 class TestCanonicalReader:
     """write_spectrum's layout is read in blocks; anything else as it was."""
 
-    @pytest.mark.parametrize("chunk", [256, 1000, _spectrumblocks._CHUNK])
+    @pytest.mark.parametrize("chunk", [256, 1000, fileio._CHUNK])
     @pytest.mark.parametrize("n", [1, 2, 8, 100, 4000])
     def test_write_spectrum_output_read_in_blocks(self, tmp_path, monkeypatch, n, chunk):
-        monkeypatch.setattr(_spectrumblocks, "_CHUNK", chunk)
+        monkeypatch.setattr(fileio, "_CHUNK", chunk)
         monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
         spectrum = random_spectrum(n, seed=n, unit="mV")
         path = tmp_path / "spectrum.json"
@@ -521,7 +521,7 @@ class TestCanonicalReader:
         spectrum = Spectrum(GridSpec.from_sampling_rate(3, 10.0), [1e300, -1e30, 2.5])
         path = tmp_path / "spectrum.json"
         write_spectrum(path, spectrum)
-        assert len(format_dyad_display(10.0 / 6, 1e300)) > _spectrumblocks._WINDOW
+        assert len(format_dyad_display(10.0 / 6, 1e300)) > fileio._WINDOW
         assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
 
     @pytest.mark.parametrize("name", sorted(DEPARTURES))
@@ -534,7 +534,7 @@ class TestCanonicalReader:
             spectrum = sample_spectrum()
             assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
         with path.open("rb") as file:
-            in_blocks = _spectrumblocks.read_canonical(file, str(path)) is not None
+            in_blocks = fileio.read_canonical(file, str(path)) is not None
         assert in_blocks == (name == "a number spelled with an exponent")
 
     def test_pipe_read_once(self, tmp_path):
@@ -596,15 +596,15 @@ def edited_spectrum(draw):
 @settings(max_examples=400, deadline=None)
 @given(edited_spectrum(), st.sampled_from([256, 700, None]))
 def test_block_reader_agrees_with_document_reader(text, chunk):
-    saved = _spectrumblocks._CHUNK
-    _spectrumblocks._CHUNK = chunk or saved
+    saved = fileio._CHUNK
+    fileio._CHUNK = chunk or saved
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spectrum.json"
             path.write_bytes(text)
             assert outcome(read_spectrum, path) == outcome(fileio._read_document, path)
     finally:
-        _spectrumblocks._CHUNK = saved
+        fileio._CHUNK = saved
 
 
 class TestPlotData:
@@ -621,6 +621,30 @@ class TestPlotData:
         path = tmp_path / "plot.csv"
         write_plotdata(path, Spectrum(GridSpec.from_duration(1, 5.0), [7.5]))
         assert path.read_text() == "0.1,7.5\n"
+
+
+class TestWriteFailures:
+    """Every writer reports a path it cannot write as a FileFormatError naming it."""
+
+    WRITERS = {
+        "series": lambda path: write_series_values(path, [1.5, -2.0]),
+        "spectrum": lambda path: write_spectrum(path, sample_spectrum()),
+        "plot data": lambda path: write_plotdata(path, sample_spectrum()),
+        "report": lambda path: write_report(path, ReconstructionReport(1.5e-10, 17, 3.25e-11)),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_missing_directory(self, tmp_path, writer):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(FileFormatError) as err:
+            self.WRITERS[writer](path)
+        assert str(err.value) == f"{path}: cannot write file: No such file or directory"
+        assert err.value.path == str(path) and isinstance(err.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_directory(self, tmp_path, writer):
+        with pytest.raises(FileFormatError, match="cannot write file: Is a directory"):
+            self.WRITERS[writer](tmp_path)
 
 
 class TestReportFile:
