@@ -11,6 +11,7 @@ cannot be written, or values whose transform overflows float64.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -104,8 +105,16 @@ def _cmd_analyze(args) -> int:
         grid = GridSpec.from_sampling_rate(n, args.fs)
     series = TimeSeries(values, grid, args.unit)
     spectrum, solve_report = forward(series)
-    write_spectrum(args.out, spectrum)
     recon = reconstruction_report(series, inverse(spectrum))
+    write_spectrum(args.out, spectrum)
+    if args.report is not None:
+        try:
+            write_report(args.report, recon)
+        except Exception:
+            if os.path.isfile(args.out):  # not /dev/null or a pipe: this run wrote it
+                with contextlib.suppress(OSError):
+                    os.remove(args.out)  # a failed run leaves no spectrum behind
+            raise
     print(f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz")
     print(
         f"solve: residual_inf={solve_report.residual_inf_norm:.3e} "
@@ -118,7 +127,6 @@ def _cmd_analyze(args) -> int:
     )
     print(f"wrote spectrum to {args.out}")
     if args.report is not None:
-        write_report(args.report, recon)
         print(f"wrote report to {args.report}")
     return EXIT_OK
 

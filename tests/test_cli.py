@@ -281,6 +281,32 @@ class TestUnwritableOutput:
         assert result.returncode == 2
         assert f"error: {target}: cannot write file: " in result.stderr
         assert "Traceback" not in result.stderr
+        if command == "analyze --report":
+            assert not (tmp_path / "s.json").exists()
+            assert "wrote" not in result.stdout
+
+    def test_failed_report_leaves_a_non_regular_out_alone(self, tmp_path, inputs,
+                                                          monkeypatch, capsys):
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)  # records, never unlinks
+        target = str(tmp_path / "missing" / "r.json")
+        code = main(["analyze", str(inputs[0]), "--fs", "4",
+                     "--out", os.devnull, "--report", target])
+        assert code == 2
+        assert f"error: {target}: cannot write file: " in capsys.readouterr().err
+        assert removed == []
+
+    def test_failed_cleanup_keeps_the_report_error(self, tmp_path, inputs,
+                                                   monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        target = str(tmp_path / "missing" / "r.json")
+        code = main(["analyze", str(inputs[0]), "--fs", "4",
+                     "--out", str(tmp_path / "s.json"), "--report", target])
+        assert code == 2
+        assert f"error: {target}: cannot write file: " in capsys.readouterr().err
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

@@ -78,6 +78,12 @@ class TestSeriesFiles:
             read_series_values(path)
         assert "empty.csv" in str(err.value)
 
+    def test_empty_series_round_trips_to_no_values(self, tmp_path):
+        path = tmp_path / "series.csv"
+        write_series_values(path, [])
+        with pytest.raises(FileFormatError, match="file contains no values"):
+            read_series_values(path)
+
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("value\n")
@@ -494,11 +500,13 @@ def departures():
         "no final newline": text[:-1],
         "a number spelled with an exponent": text.replace('"c": 195.0,', '"c": 1.95e2,'),
         "blank lines for records": text[: text.index("    {")] + "\n" * 11 + "\n  ]\n}\n",
+        "a byte between two records": text.replace("},\n    {", "},\n7    {", 1),
     }
 
 
 DEPARTURES = departures()
-NOT_JSON = {"raw quote in display", "control character in display", "blank lines for records"}
+NOT_JSON = {"raw quote in display", "control character in display", "blank lines for records",
+            "a byte between two records"}
 
 
 class TestCanonicalReader:
@@ -516,12 +524,12 @@ class TestCanonicalReader:
         assert loaded.grid == spectrum.grid and loaded.unit == "mV"
         assert loaded.coefficients.tobytes() == spectrum.coefficients.tobytes()
 
-    def test_display_longer_than_a_window(self, tmp_path, monkeypatch):
+    def test_long_display_read_in_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
         spectrum = Spectrum(GridSpec.from_sampling_rate(3, 10.0), [1e300, -1e30, 2.5])
         path = tmp_path / "spectrum.json"
         write_spectrum(path, spectrum)
-        assert len(format_dyad_display(10.0 / 6, 1e300)) > fileio._WINDOW
+        assert len(format_dyad_display(10.0 / 6, 1e300)) > 300
         assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
 
     @pytest.mark.parametrize("name", sorted(DEPARTURES))
