@@ -20,11 +20,6 @@ EXIT_USAGE = 2
 _BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -97,6 +92,9 @@ def _cmd_analyze(args) -> int:
     from .transform import TimeSeries, forward, inverse, reconstruction_report
     from .waves import GridSpec
 
+    if args.report is not None and os.path.realpath(args.out) == os.path.realpath(args.report):
+        if not os.path.exists(args.out) or os.path.isfile(args.out):  # /dev/null may take both
+            raise ValueError(f"--out and --report name the same file: {args.report}")
     values = read_series_values(args.input)
     n = len(values)
     if args.delta_t is not None:
@@ -143,9 +141,6 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 1:
-        return _fail_usage(f"--n must be >= 1, got {args.n}")
-
     from .fileio import write_series_values
     from .random_series import generate
     from .waves import GridSpec
@@ -177,12 +172,12 @@ def main(argv=None) -> int:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        return _fail_usage(f"--threads must be >= 1, got {args.threads}")
 
     from .errors import FileFormatError
 
     try:
+        if args.threads is not None and args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (FileFormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,9 @@ _RECORD_SEP = ",\n"
 _TAIL = "\n  ]\n}\n"
 _RECORD_KEYS = ("i", "f_hz", "c")
 # ASCII characters that float() accepts inside a number (digit-group
-# underscores) or that str.splitlines() splits a line at; no decimal line
-# of a series file holds one
-_NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e")
+# underscores) or around it (whitespace other than spaces and tabs), or that
+# str.splitlines() splits a line at; no decimal line of a series file holds one
+_NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _write_text(path, pieces) -> None:
@@ -72,51 +72,55 @@ def _number_fault(v, what: str, positive: bool = False) -> str | None:
     return f"{what} must be {kind}, got {v!r}"
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file without a leading byte-order mark; FileFormatError names a file
+    that cannot be read or is not UTF-8, giving the bad byte's offset from the file's start."""
+    try:
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+    except OSError as exc:
+        raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            str(path), f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+        ) from None
+
+
 def read_series_values(path) -> np.ndarray:
     """Parse a series file into a float64 vector.
 
     Accepts an optional leading `value` header. Lines end in "\n", "\r\n"
-    or "\r". Any token that is not a finite decimal number in ASCII
-    (no digit-group underscores) fails with the 1-based line number; an
-    empty file fails naming the file.
+    or "\r"; only spaces and tabs may surround a value. The first line whose
+    token is not a finite ASCII decimal number (no digit-group underscores)
+    fails with its 1-based number; an empty file fails naming the file.
+    Text with a non-ASCII or _NOT_IN_SERIES character is cut at line ends
+    only, and each of its tokens is checked for them.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
-    if not text.isascii() or any(c in text for c in _NOT_IN_SERIES):
-        _raise_series_character_fault(str(path), text)
+    p = str(path)
+    text = _read_text(path)
+    clean = text.isascii() and not any(c in text for c in _NOT_IN_SERIES)
     values: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        token = raw.strip()
-        if lineno == 1 and token.lower() == "value":
-            continue
-        if not token:
-            raise FileFormatError(str(path), "blank line in series file", lineno)
+    # the lines are held by the loop alone, so they are freed before the array is built
+    for lineno, raw in enumerate(
+        text.splitlines() if clean else re.split(r"\r\n?|\n", text), start=1
+    ):
         try:
-            value = float(token)
+            if not clean and (not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES)):
+                raise ValueError(raw)  # float() accepts some of these characters
+            value = float(raw)  # as float(token): the only blanks in raw are spaces and tabs
         except ValueError:
-            raise FileFormatError(
-                str(path), f"not a decimal number: {token!r}", lineno
-            ) from None
+            token = raw.strip(" \t")
+            if lineno == 1 and token.lower() == "value":
+                continue
+            fault = f"not a decimal number: {token!r}" if token else "blank line in series file"
+            raise FileFormatError(p, fault, lineno) from None
         if not math.isfinite(value):
-            raise FileFormatError(
-                str(path), f"non-finite value not allowed: {token!r}", lineno
-            )
+            token = raw.strip(" \t")
+            raise FileFormatError(p, f"non-finite value not allowed: {token!r}", lineno)
         values.append(value)
     if not values:
-        raise FileFormatError(str(path), "file contains no values")
+        raise FileFormatError(p, "file contains no values")
     return np.asarray(values, dtype=np.float64)
-
-
-def _raise_series_character_fault(p: str, text: str) -> None:
-    """Name the first line that holds a non-ASCII character or one of _NOT_IN_SERIES."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES):
-            token = raw.strip(" \t")
-            raise FileFormatError(p, f"not a decimal number: {token!r}", lineno)
 
 
 def write_series_values(path, values) -> None:
@@ -226,15 +230,11 @@ def _frequencies_match(freqs: np.ndarray, expected: np.ndarray) -> bool:
 
 def _read_document(path: Path) -> Spectrum:
     """Parse a spectrum file with one json.loads and check it, naming the first fault."""
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
-        raise FileFormatError(str(path), f"not valid JSON: {exc}") from None
     p = str(path)
+    try:
+        doc = json.loads(_read_text(path))  # the text is freed once it is parsed
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
+        raise FileFormatError(p, f"not valid JSON: {exc}") from None
     grid = _grid(doc, p)
     n = grid.n
     records = doc["dyads"]

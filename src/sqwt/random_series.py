@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .transform import TimeSeries
-from .waves import GridSpec
+from .waves import GridSpec, _check_size, _is_integer
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -46,7 +46,7 @@ class DigitStream:
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
+        if not _is_integer(seed) or not 0 <= seed < (1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = int(seed)
         self._state = int(seed)
@@ -98,8 +98,7 @@ def generate(seed: int, n: int, grid: GridSpec) -> GeneratedSeries:
     Each value takes the next eight digits of the stream; they are drawn in
     vectorised blocks of at most _BLOCK values.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_size(n)
     if grid.n != n:
         raise DimensionMismatch(f"grid is sized for {grid.n} samples, requested {n}")
     stream = DigitStream(seed)

@@ -31,10 +31,8 @@ class GridSpec:
 
     def __post_init__(self):
         _check_size(self.n)
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0):
-            raise ValueError(f"delta_t must be a positive real, got {self.delta_t!r}")
-        if not (math.isfinite(self.f_s) and self.f_s > 0):
-            raise ValueError(f"f_s must be a positive real, got {self.f_s!r}")
+        _check_positive("delta_t", self.delta_t)
+        _check_positive("f_s", self.f_s)
         # plain Python numbers, as json and repr expect, whatever the caller passed
         object.__setattr__(self, "n", operator.index(self.n))
         object.__setattr__(self, "delta_t", float(self.delta_t))
@@ -49,26 +47,33 @@ class GridSpec:
     def from_duration(cls, n: int, delta_t: float) -> "GridSpec":
         """Grid for n samples over delta_t seconds; f_s is derived."""
         _check_size(n)
-        if not (math.isfinite(delta_t) and delta_t > 0):
-            raise ValueError(f"delta_t must be a positive real, got {delta_t!r}")
+        _check_positive("delta_t", delta_t)
         return cls(int(n), float(delta_t), n / delta_t)
 
     @classmethod
     def from_sampling_rate(cls, n: int, f_s: float) -> "GridSpec":
         """Grid for n samples at f_s samples/second; delta_t is derived."""
         _check_size(n)
-        if not (math.isfinite(f_s) and f_s > 0):
-            raise ValueError(f"f_s must be a positive real, got {f_s!r}")
+        _check_positive("f_s", f_s)
         return cls(int(n), n / f_s, float(f_s))
 
 
+def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive real, got {value!r}")
+
+
 def _check_size(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
 def _check_index(value: int, n: int, name: str) -> None:
-    if not isinstance(value, (int, np.integer)) or not 1 <= value <= n:
+    if not _is_integer(value) or not 1 <= value <= n:
         raise IndexError(f"{name} must be in [1..{n}], got {value!r}")
 
 

@@ -73,6 +73,38 @@ class TestAnalyze:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("out,report,error", [
+        ("s.json", "./s.json", "error: --out and --report name the same file: ./s.json\n"),
+        (os.devnull, os.devnull, ""),
+    ], ids=["same file", "null device"])
+    def test_same_out_and_report(self, tmp_path, paper_file, monkeypatch, capsys,
+                                 out, report, error):
+        monkeypatch.chdir(tmp_path)
+        code = main(["analyze", str(paper_file), "--fs", "4", "--out", out, "--report", report])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2 if error else 0, error)
+        assert ("wrote" in captured.out) == (not error)
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
+    def test_non_utf8_input_exit_2_naming_the_file(self, tmp_path, command):
+        if command == "analyze":
+            path = tmp_path / "series.csv"
+            path.write_bytes(b"1.5\n\xff\n")
+            args = ["analyze", str(path), "--fs", "2"]
+        else:
+            path = tmp_path / "spectrum.json"
+            write_spectrum(path, Spectrum(GridSpec(8, 2.0, 4.0), PAPER_VALUES))
+            data = path.read_bytes()
+            at = data.index(b'"c": ', data.index(b'"i": 5,')) + len(b'"c": ')
+            path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+            args = ["reconstruct", str(path)]
+        result = run_cli(*args, "--out", str(tmp_path / "out"))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: not UTF-8 text: invalid start byte")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_requires_exactly_one_grid_flag(self, tmp_path, paper_file):
         out = str(tmp_path / "s.json")
         result = run_cli("analyze", str(paper_file), "--out", out)
@@ -187,6 +219,12 @@ class TestGenerate:
     def test_n_zero_exit_2(self, tmp_path):
         assert main(["generate", "--seed", "1", "--n", "0", "--fs", "10",
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_n_zero_message(self, tmp_path, capsys):
+        main(["generate", "--seed", "1", "--n", "0", "--fs", "10",
+              "--out", str(tmp_path / "o.csv")])
+        assert capsys.readouterr().err == "error: n must be a positive integer, got 0\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_bad_seed_exit_2(self, tmp_path):
         assert main(["generate", "--seed", "-3", "--n", "4", "--fs", "10",

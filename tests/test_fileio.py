@@ -103,16 +103,35 @@ class TestSeriesFiles:
         ("1\n2\x1d\n", 2, "2\x1d"),
         ("\x1e1\n", 1, "\x1e1"),
         ("1\n2\u00a0\n", 2, "2\u00a0"),
+        ("1.5\x1f\n", 1, "1.5\x1f"),
+        ("1\n\x1f2\n", 2, "\x1f2"),
     ])
     def test_non_decimal_characters_rejected(self, tmp_path, text, line, token):
-        # float() accepts underscores and non-ASCII digits or spaces, and
-        # str.splitlines() splits at \f, \v and \x1c-\x1e
+        # float() accepts underscores, non-ASCII digits or spaces and ASCII
+        # whitespace such as \x1f, and str.splitlines() splits at \f, \v
+        # and \x1c-\x1e
         path = tmp_path / "series.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FileFormatError) as err:
             read_series_values(path)
         assert err.value.line == line
         assert str(err.value) == f"{path}:{line}: not a decimal number: {token!r}"
+
+    def test_first_bad_line_named_before_a_later_character_fault(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("abc\n1_0\n")
+        with pytest.raises(FileFormatError) as err:
+            read_series_values(path)
+        assert str(err.value) == f"{path}:1: not a decimal number: 'abc'"
+
+    @pytest.mark.parametrize("data,offset", [(b"1.5\n\xff\n", 4), (b"\xef\xbb\xbf1\n\xff", 5)])
+    def test_not_utf8_names_file_and_byte(self, tmp_path, data, offset):
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError) as err:
+            read_series_values(path)
+        assert str(err.value) == (
+            f"{path}: not UTF-8 text: invalid start byte at byte offset {offset}")
 
     @pytest.mark.parametrize("text", ["\ufeffvalue\r\n1.5\r\n-2\r\n", "1.5\r-2\r", " 1.5\t\n-2\n"])
     def test_line_endings_bom_and_blanks_around_tokens(self, tmp_path, text):
@@ -544,6 +563,19 @@ class TestCanonicalReader:
         with path.open("rb") as file:
             in_blocks = fileio.read_canonical(file, str(path)) is not None
         assert in_blocks == (name == "a number spelled with an exponent")
+
+    def test_bad_byte_in_a_record_names_file(self, tmp_path):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, sample_spectrum())
+        data = path.read_bytes()
+        at = data.index(b'"c": ', data.index(b'"i": 3,')) + len(b'"c": ')
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with path.open("rb") as file:
+            assert fileio.read_canonical(file, str(path)) is None
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value) == (
+            f"{path}: not UTF-8 text: invalid start byte at byte offset {at}")
 
     def test_pipe_read_once(self, tmp_path):
         fifo = tmp_path / "spectrum.fifo"

@@ -94,7 +94,7 @@ class TestDigitStream:
     def test_seed_validation(self):
         DigitStream(0)
         DigitStream(2**64 - 1)
-        for bad in (-1, 2**64, 1.5, "7"):
+        for bad in (-1, 2**64, 1.5, "7", True, False):
             with pytest.raises(ValueError):
                 DigitStream(bad)
 

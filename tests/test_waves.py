@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqwt import GridSpec, SignPattern, apply_sign_matrix, sign_at, train_frequency
+from sqwt.random_series import generate
 
 from oracles import run_length_sign
 
@@ -52,8 +53,9 @@ class TestGridSpec:
     lambda n: GridSpec.from_sampling_rate(n, 1.0),
     lambda n: sign_at(n, 1, 1),
     SignPattern,
-], ids=["GridSpec", "from_duration", "from_sampling_rate", "sign_at", "SignPattern"])
-@pytest.mark.parametrize("n", [0, 2.5, "3"])
+    lambda n: generate(1, n, GridSpec(1, 1.0, 1.0)),
+], ids=["GridSpec", "from_duration", "from_sampling_rate", "sign_at", "SignPattern", "generate"])
+@pytest.mark.parametrize("n", [0, 2.5, "3", True])
 def test_every_size_check_names_n(check, n):
     with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
         check(n)
@@ -118,6 +120,14 @@ class TestSignAt:
             sign_at(8, 4.0, 6)
         with pytest.raises(IndexError):
             sign_at(8, 4, 6.0)
+
+    def test_bool_indices_rejected(self):
+        with pytest.raises(IndexError):
+            sign_at(2, True, 1)
+        with pytest.raises(IndexError):
+            sign_at(2, 1, True)
+        with pytest.raises(IndexError):
+            train_frequency(GridSpec(2, 1.0, 2.0), True)
 
 
 class TestSignPattern:
