@@ -28,14 +28,14 @@ def main():
 
     spectrum, report = forward(series)
     print("\nsolved coefficients (mV):")
-    for d in spectrum.dyads:
-        print(f"  C_{d.index} = {d.coefficient:g}")
+    for i, c in enumerate(spectrum.coefficients, start=1):
+        print(f"  C_{i} = {c:g}")
     print(f"solver: residual_inf={report.residual_inf_norm:.3e}, "
           f"elapsed={report.elapsed_seconds * 1e3:.2f} ms")
 
     print("\ndyad spectrum (f_i; C_i):")
-    for d in spectrum.dyads:
-        print(f"  {d.index}. {format_dyad_display(d.frequency, d.coefficient)}")
+    for i, (f, c) in enumerate(zip(spectrum.frequencies, spectrum.coefficients), start=1):
+        print(f"  {i}. {format_dyad_display(f, c)}")
 
     print("\nverification sums, one per subinterval:")
     for i, row in enumerate(signs, start=1):

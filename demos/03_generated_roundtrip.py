@@ -42,8 +42,9 @@ def main():
           f"refinement steps {report.refinement_steps_used})")
 
     print("\nfirst ten dyads:")
-    for d in spectrum.dyads[:10]:
-        print(f"  {d.index:3d}. {format_dyad_display(d.frequency, d.coefficient)}")
+    dyads = zip(spectrum.frequencies[:10], spectrum.coefficients[:10])
+    for i, (f, c) in enumerate(dyads, start=1):
+        print(f"  {i:3d}. {format_dyad_display(f, c)}")
     largest = int(np.argmax(np.abs(spectrum.coefficients)))
     print(f"largest coefficient: |C_{largest + 1}| = "
           f"{abs(spectrum.coefficients[largest]):.3f}")

@@ -23,7 +23,6 @@ _EXPORTS = {
     "solve": "linsolve",
     "GeneratedSeries": "random_series",
     "generate": "random_series",
-    "Dyad": "transform",
     "ReconstructionReport": "transform",
     "Spectrum": "transform",
     "TimeSeries": "transform",

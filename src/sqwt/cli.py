@@ -92,8 +92,12 @@ def _cmd_analyze(args) -> int:
     from .transform import TimeSeries, forward, inverse, reconstruction_report
     from .waves import GridSpec
 
-    if args.report is not None and os.path.realpath(args.out) == os.path.realpath(args.report):
-        if not os.path.exists(args.out) or os.path.isfile(args.out):  # /dev/null may take both
+    if args.report is not None and (os.path.isfile(args.out) or not os.path.exists(args.out)):
+        try:  # /dev/null may take both; a regular file by one path or two hard links may not
+            same = os.path.samefile(args.out, args.report)
+        except OSError:  # one of them does not exist yet
+            same = os.path.realpath(args.out) == os.path.realpath(args.report)
+        if same:
             raise ValueError(f"--out and --report name the same file: {args.report}")
     values = read_series_values(args.input)
     n = len(values)

@@ -8,7 +8,9 @@ round-trip decimal form) next to a six-decimal display string.
 `write_spectrum` and the block reader, `read_canonical`, both take the
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
 reader matches records with one pattern built from the record template. A
-file that departs from the layout is read as one JSON document.
+file that departs from the layout is read as one JSON document. Both
+readers leave the header's `n` rule to GridSpec and check each stored
+frequency against the frequency law of `sqwt.waves`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from ._floattext import repr_rows
 from .errors import FileFormatError
 from .transform import ReconstructionReport, Spectrum
-from .waves import GridSpec
+from .waves import GridSpec, _train_frequencies
 
 _FREQ_SANITY_REL_TOL = 1e-6
 # records written per block by write_spectrum; bounds its scratch memory at
@@ -175,20 +177,17 @@ def _grid(doc, p: str) -> GridSpec:
     _require(isinstance(doc, dict), p, "top level must be a JSON object")
     for key in ("n", "delta_t_s", "f_s_hz", "unit", "dyads"):
         _require(key in doc, p, f"missing required field {key!r}")
-    n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-             p, f"n must be a positive integer, got {n!r}")
     for key in ("delta_t_s", "f_s_hz"):
         fault = _number_fault(doc[key], key, positive=True)
         _require(fault is None, p, fault)
     _require(isinstance(doc["unit"], str), p, "unit must be a string")
     try:
-        return GridSpec(n, float(doc["delta_t_s"]), float(doc["f_s_hz"]))
-    except ValueError as exc:
+        return GridSpec(doc["n"], float(doc["delta_t_s"]), float(doc["f_s_hz"]))
+    except ValueError as exc:  # GridSpec states the n rule and the consistency check
         raise FileFormatError(p, str(exc)) from None
     except OverflowError:  # the consistency check cannot turn n into a float
         raise FileFormatError(
-            p, f"n must be a positive integer, got an integer of {len(str(n))} digits"
+            p, f"n must be a positive integer, got an integer of {len(str(doc['n']))} digits"
         ) from None
 
 
@@ -240,8 +239,7 @@ def _read_document(path: Path) -> Spectrum:
     records = doc["dyads"]
     _require(isinstance(records, list), p, "dyads must be an array")
     _require(len(records) == n, p, f"expected {n} dyad records, found {len(records)}")
-    spans = np.arange(n, 0, -1, dtype=np.float64)
-    expected_freqs = (grid.f_s / (2.0 * spans)).tolist()
+    expected_freqs = _train_frequencies(grid).tolist()
     for pos, rec in enumerate(records):
         fault = _record_fault(pos, rec, n, expected_freqs[pos])
         _require(fault is None, p, fault)
@@ -258,7 +256,7 @@ _PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)),
 _RECORD = re.compile(b"".join(_FIELDS.get(piece) or re.escape(piece) for piece in _PIECES))
 
 
-def _block(data: bytes, done: int, n: int, f_s: float):
+def _block(data: bytes, done: int, grid: GridSpec):
     """(coefficients, carry) for the complete records at the start of a canonical block.
 
     `data` starts at a record and comes after `done` records; None if it
@@ -270,7 +268,7 @@ def _block(data: bytes, done: int, n: int, f_s: float):
     """
     pieces = _RECORD.split(data)
     count = len(pieces) // 4
-    if done + count > n or any(pieces[0:-1:4]):
+    if done + count > grid.n or any(pieces[0:-1:4]):
         return None
     if pieces[1::4] != [b"%d" % i for i in range(done + 1, done + count + 1)]:
         return None
@@ -281,8 +279,7 @@ def _block(data: bytes, done: int, n: int, f_s: float):
     column = _float_column(values)
     if column is None:
         return None
-    spans = np.arange(n - done, n - done - count, -1, dtype=np.float64)
-    if not _frequencies_match(column[:count], f_s / (2.0 * spans)):
+    if not _frequencies_match(column[:count], _train_frequencies(grid, done + 1, done + count)):
         return None
     return column[count:], pieces[-1]
 
@@ -323,7 +320,7 @@ def read_canonical(file, p: str) -> Spectrum | None:
         pos += len(chunk)
         if pos >= end:  # the reader ends the last record with _RECORD_SEP too
             chunk += _RECORD_SEP.encode()
-        block = _block(carry + chunk, done, grid.n, grid.f_s)
+        block = _block(carry + chunk, done, grid)
         if block is None:
             return None
         column, carry = block

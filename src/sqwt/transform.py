@@ -1,8 +1,9 @@
 """Forward and inverse square-wave transforms of uniformly sampled series.
 
-The forward transform solves the signed coefficient system, pairing each
-train's coefficient with its frequency; the inverse rebuilds the series as
-the signed sum of all coefficients per subinterval.
+The forward transform solves the signed coefficient system; the inverse
+rebuilds the series as the signed sum of all coefficients per subinterval.
+A Spectrum stores the coefficients and derives its frequencies from the
+grid by the law in `sqwt.waves`; dyad i pairs the i-th entry of each.
 """
 
 from __future__ import annotations
@@ -14,44 +15,37 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linsolve import SolveReport, apply_sign_matrix, solve
-from .waves import GridSpec, SignPattern
+from .waves import GridSpec, SignPattern, _train_frequencies
 
 
-def _as_finite_vector(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _check_fields(record, field: str, what: str) -> None:
+    """Store a record's `field` as a read-only finite copy on its grid; require a str unit."""
+    arr = np.array(getattr(record, field), dtype=np.float64, copy=True)
+    n = record.grid.n
     if arr.shape != (n,):
         raise DimensionMismatch(f"{what} has shape {arr.shape}, grid expects ({n},)")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
+    if not isinstance(record.unit, str):
+        raise ValueError(f"unit must be a string, got {record.unit!r}")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(record, field, arr)
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Finite float64 samples on a grid; unit is an opaque label ("mV", "")."""
+    """Finite float64 samples on a grid; unit is an opaque string label ("mV", "")."""
 
     values: np.ndarray
     grid: GridSpec
     unit: str = ""
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", _as_finite_vector(self.values, self.grid.n, "series")
-        )
+        _check_fields(self, "values", "series")
 
     @property
     def n(self) -> int:
         return self.grid.n
-
-
-@dataclass(frozen=True)
-class Dyad:
-    """One (frequency, coefficient) pair of a spectrum, with its 1-based index."""
-
-    index: int
-    frequency: float
-    coefficient: float
 
 
 @dataclass(frozen=True)
@@ -67,11 +61,7 @@ class Spectrum:
     unit: str = ""
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficients",
-            _as_finite_vector(self.coefficients, self.grid.n, "coefficients"),
-        )
+        _check_fields(self, "coefficients", "coefficients")
 
     @property
     def n(self) -> int:
@@ -79,17 +69,7 @@ class Spectrum:
 
     @property
     def frequencies(self) -> np.ndarray:
-        # same arithmetic as waves.train_frequency, vectorized
-        spans = np.arange(self.grid.n, 0, -1, dtype=np.float64)
-        return self.grid.f_s / (2.0 * spans)
-
-    @property
-    def dyads(self) -> list[Dyad]:
-        freqs = self.frequencies
-        return [
-            Dyad(i + 1, float(freqs[i]), float(self.coefficients[i]))
-            for i in range(self.grid.n)
-        ]
+        return _train_frequencies(self.grid)
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,12 @@ def train_frequency(grid: GridSpec, i: int) -> float:
     return grid.f_s / (2.0 * (grid.n - i + 1))
 
 
+def _train_frequencies(grid: GridSpec, first: int = 1, last: int | None = None) -> np.ndarray:
+    """Frequencies of trains first..last (all by default), as train_frequency computes each."""
+    stop = 0 if last is None else grid.n - last  # the span of train `last`, less one
+    return grid.f_s / (2.0 * np.arange(grid.n - first + 1, stop, -1, dtype=np.float64))
+
+
 @dataclass(frozen=True)
 class SignPattern:
     """The validated size n of the n-by-n sign matrix.

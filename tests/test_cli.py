@@ -86,6 +86,20 @@ class TestAnalyze:
         assert ("wrote" in captured.out) == (not error)
         assert not (tmp_path / "s.json").exists()
 
+    def test_hard_linked_out_and_report(self, tmp_path, paper_file, capsys):
+        out, link = tmp_path / "s.json", tmp_path / "h.json"
+        assert main(["analyze", str(paper_file), "--fs", "4", "--out", str(out)]) == 0
+        before = out.read_bytes()
+        os.link(out, link)
+        capsys.readouterr()
+        code = main(["analyze", str(paper_file), "--fs", "4",
+                     "--out", str(out), "--report", str(link)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (
+            2, f"error: --out and --report name the same file: {link}\n")
+        assert "wrote" not in captured.out
+        assert out.read_bytes() == before
+
     @pytest.mark.parametrize("command", ["analyze", "reconstruct"])
     def test_non_utf8_input_exit_2_naming_the_file(self, tmp_path, command):
         if command == "analyze":
@@ -364,7 +378,7 @@ class TestStartup:
         import sqwt
 
         assert sqwt.__all__ == [
-            "DimensionMismatch", "Dyad", "FileFormatError", "GeneratedSeries",
+            "DimensionMismatch", "FileFormatError", "GeneratedSeries",
             "GridSpec", "ReconstructionReport", "SignPattern", "SolveReport",
             "Spectrum", "SquareWaveError", "TimeSeries", "apply_sign_matrix",
             "forward", "generate", "inverse", "reconstruction_report", "sign_at",

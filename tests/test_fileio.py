@@ -219,6 +219,20 @@ class TestSpectrumFiles:
         with pytest.raises(FileFormatError, match="unit"):
             read_spectrum(path)
 
+    @pytest.mark.parametrize("n,shown", [(0, "0"), (-3, "-3"), (2.5, "2.5"), ("8", "'8'"),
+                                         (True, "True"), (None, "None")])
+    def test_bad_n_rejected(self, tmp_path, n, shown):
+        path = self._mutated(tmp_path, lambda d: d.update(n=n))
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value) == f"{path}: n must be a positive integer, got {shown}"
+
+    def test_bad_unit_named_before_bad_n(self, tmp_path):
+        path = self._mutated(tmp_path, lambda d: d.update(n=0, unit=None))
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value) == f"{path}: unit must be a string"
+
     def test_wrong_record_count_rejected(self, tmp_path):
         path = self._mutated(tmp_path, lambda d: d["dyads"].pop())
         with pytest.raises(FileFormatError, match="records"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sqwt import (
     DimensionMismatch,
-    Dyad,
     GridSpec,
     Spectrum,
     TimeSeries,
@@ -49,6 +48,10 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([1.0, np.inf], GridSpec.from_duration(2, 1.0))
 
+    def test_unit_must_be_a_string(self):
+        with pytest.raises(ValueError, match=r"^unit must be a string, got None$"):
+            TimeSeries([1.0], GridSpec.from_duration(1, 1.0), None)
+
     def test_values_are_read_only(self):
         series = paper_series()
         with pytest.raises(ValueError):
@@ -58,8 +61,9 @@ class TestTimeSeries:
 class TestSpectrum:
     def test_dyads_ascending(self):
         spectrum = Spectrum(GridSpec.from_duration(4, 2.0), [1.0, 2.0, 3.0, 4.0])
-        assert [d.index for d in spectrum.dyads] == [1, 2, 3, 4]
-        assert spectrum.dyads[3] == Dyad(4, spectrum.grid.f_s / 2.0, 4.0)
+        dyads = list(zip(spectrum.frequencies, spectrum.coefficients))
+        assert [c for _, c in dyads] == [1.0, 2.0, 3.0, 4.0]
+        assert dyads[3] == (spectrum.grid.f_s / 2.0, 4.0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_frequencies_match_train_frequency_exactly(self, n):
@@ -67,6 +71,10 @@ class TestSpectrum:
         spectrum = Spectrum(grid, np.zeros(n))
         for i in range(1, n + 1):
             assert spectrum.frequencies[i - 1] == train_frequency(grid, i)
+
+    def test_unit_must_be_a_string(self):
+        with pytest.raises(ValueError, match=r"^unit must be a string, got None$"):
+            Spectrum(GridSpec.from_duration(1, 1.0), [1.0], None)
 
     def test_coefficient_length_checked(self):
         with pytest.raises(DimensionMismatch):
@@ -103,7 +111,7 @@ class TestForward:
     def test_n1_single_dyad(self):
         grid = GridSpec.from_duration(1, 5.0)
         spectrum, _ = forward(TimeSeries([3.5], grid))
-        assert spectrum.dyads == [Dyad(1, 0.1, 3.5)]
+        assert (spectrum.frequencies.tolist(), spectrum.coefficients.tolist()) == ([0.1], [3.5])
 
 
 class TestInverse:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sqwt import GridSpec, SignPattern, apply_sign_matrix, sign_at, train_frequency
+from sqwt import GridSpec, SignPattern, apply_sign_matrix, sign_at, train_frequency, waves
 from sqwt.random_series import generate
 
 from oracles import run_length_sign
@@ -180,6 +180,13 @@ class TestTrainFrequency:
         grid = GridSpec.from_duration(4, 1.0)
         with pytest.raises(IndexError, match="train index i"):
             train_frequency(grid, i)
+
+    @pytest.mark.parametrize("n,first,last", [(1, 1, 1), (7, 1, 7), (7, 3, 5), (64, 64, 64),
+                                              (64, 10, 9)])
+    def test_vectorised_law_matches_each_train(self, n, first, last):
+        grid = GridSpec.from_duration(n, 2.0)
+        freqs = waves._train_frequencies(grid, first, last)
+        assert freqs.tolist() == [train_frequency(grid, i) for i in range(first, last + 1)]
 
     @pytest.mark.parametrize("n,i,span", [(8, 5, 4), (10, 10, 1), (10, 1, 10), (1, 1, 1)])
     def test_half_wave_span(self, n, i, span):
