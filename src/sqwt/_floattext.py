@@ -6,7 +6,9 @@ numpy: the value's significand is scaled by a 126-bit approximation of a
 power of ten, and among the decimals that round back to the value the
 shortest is chosen, then the one closest to it, then the one whose last
 digit is even. The digits are then laid out by `repr`'s rule: fixed
-notation when -4 < decpt <= 16, otherwise `d.ddde±XX`.
+notation when -4 < decpt <= 16, otherwise `d.ddde±XX`, into a fixed-width
+byte template per value whose slots not shown hold 0; one `bytes.translate`
+drops them from each block's text.
 
 Subnormals and non-finite values go through `repr` itself.
 """
@@ -26,12 +28,13 @@ _K_MIN, _K_MAX = -324, 292
 _MASK63 = np.uint64((1 << 63) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 
-# slots of one value's template, of which a per-value mask keeps some:
-# sign, "0.000" prefix, 17 digits each followed by a '.' slot, "e±ddd" and
-# the separator that follows the value in its row
+# slots of one value's template, each holding its character or 0 if the value
+# does not show it: sign, "0.000" prefix, 17 digits each followed by a '.'
+# slot, "e±ddd" and the separator that follows the value in its row
 _SIGN, _PREFIX, _DIGITS, _EXP, _SEP, _WIDTH = 0, 1, 6, 40, 45, 46
 _TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000,", dtype=np.uint8)
 _PLACES = np.arange(1, 18, dtype=np.uint8)[:, None]
+_POWERS = np.array([[100], [10], [1]])  # the places of the exponent's three digits
 # the longest repr of a double, as in -2.2250738585072014e-308
 _REPR_MAX = 24
 
@@ -111,8 +114,8 @@ def _shortest(bits):
     return np.where(upin != (tp10 << np.uint64(2) <= vbr), np.where(upin, sp10, tp10), d), k
 
 
-def _layout(x, chars, mask) -> None:
-    """Fill the value templates of x, one slot per row of chars, and the slots kept."""
+def _layout(x, chars) -> None:
+    """Fill the value templates of x, one slot per row of chars, with 0 in each slot not shown."""
     bits = x.view(np.uint64)
     exponent = bits >> np.uint64(52) & np.uint64(0x7FF)
     # zeros, subnormals, infinities and nan, for which 1.0 stands in
@@ -145,33 +148,25 @@ def _layout(x, chars, mask) -> None:
     shown = np.where(whole, np.maximum(length, decpt + 1), length)
     dot_after = np.where(whole, decpt, scientific & (length > 1))
 
-    chars[:_DIGITS] = _TEMPLATE[:_DIGITS, None]
-    chars[_DIGITS:_EXP:2] = digits + ord("0")
-    chars[_DIGITS + 1 : _EXP : 2] = ord(".")
-    chars[_EXP:] = _TEMPLATE[_EXP:, None]
-    mask[_SIGN] = np.signbit(x)
-    mask[_PREFIX:_DIGITS] = _PLACES[:5] <= np.where(fixed & ~whole, 2 - decpt, 0)
-    mask[_DIGITS:_EXP:2] = _PLACES <= shown
-    mask[_DIGITS + 1 : _EXP : 2] = _PLACES == dot_after
+    chars[:] = _TEMPLATE[:, None]
+    chars[_SIGN] *= np.signbit(x)
+    chars[_PREFIX:_DIGITS] *= _PLACES[:5] <= np.where(fixed & ~whole, 2 - decpt, 0)
+    chars[_DIGITS:_EXP:2] = (digits + ord("0")) * (_PLACES <= shown)
+    chars[_DIGITS + 1 : _EXP : 2] *= _PLACES == dot_after
 
     e = decpt - 1
     magnitude = np.abs(e)
     chars[_EXP + 1] = np.where(e < 0, ord("-"), ord("+"))
-    chars[_EXP + 2] = magnitude // 100 + ord("0")
-    chars[_EXP + 3] = magnitude // 10 % 10 + ord("0")
-    chars[_EXP + 4] = magnitude % 10 + ord("0")
-    mask[_EXP : _EXP + 2] = scientific
-    mask[_EXP + 2] = scientific & (magnitude >= 100)
-    mask[_EXP + 3 : _SEP] = scientific
-    mask[_SEP] = True
+    chars[_EXP + 2 : _SEP] = magnitude // _POWERS % 10 + ord("0")
+    chars[_EXP:_SEP] *= scientific
+    chars[_EXP + 2] *= magnitude >= 100
 
     if any_rare:
         chars[_DIGITS, rare & (x == 0)] = ord("0")  # the stand-in's "1.0" reads "0.0"
         at = np.flatnonzero(rare & (x != 0))
-        texts = [repr(v) for v in x[at].tolist()]
-        texts_bytes = np.array(texts, dtype=f"S{_REPR_MAX}").view(np.uint8)
-        chars[:_REPR_MAX, at] = texts_bytes.reshape(-1, _REPR_MAX).T
-        mask[:_SEP, at] = np.arange(_SEP)[:, None] < np.array([len(t) for t in texts])
+        texts = np.array([repr(v) for v in x[at].tolist()], dtype=f"S{_REPR_MAX}")
+        chars[:_REPR_MAX, at] = texts.view(np.uint8).reshape(-1, _REPR_MAX).T
+        chars[_REPR_MAX:_SEP, at] = 0
 
 
 def repr_rows(columns):
@@ -184,13 +179,11 @@ def repr_rows(columns):
     n, width = len(columns[0]), len(columns)
     rows = max(1, _BLOCK // width)
     chars = np.empty((_WIDTH, width * min(n, rows)), dtype=np.uint8)
-    mask = np.empty(chars.shape, dtype=bool)
     for start in range(0, n, rows):
         block = [column[start : start + rows] for column in columns]
         size = width * len(block[0])
-        c, m = chars[:, :size], mask[:, :size]
-        _layout(np.concatenate(block), c, m)
+        c = chars[:, :size]
+        _layout(np.concatenate(block), c)
         c[_SEP, size - len(block[0]) :] = ord("\n")
-        # slot-major (slot, column, row) to row-major text
-        text = c.reshape(_WIDTH, width, -1).T[m.reshape(_WIDTH, width, -1).T]
-        yield text.tobytes().decode("ascii")
+        # slot-major (slot, column, row) to row-major text, less the slots not shown
+        yield c.reshape(_WIDTH, width, -1).T.tobytes().translate(None, b"\0").decode("ascii")

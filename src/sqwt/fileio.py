@@ -25,7 +25,7 @@ import numpy as np
 
 from ._floattext import repr_rows
 from .errors import FileFormatError
-from .transform import ReconstructionReport, Spectrum
+from .transform import ReconstructionReport, Spectrum, _check_unit
 from .waves import GridSpec, _train_frequencies
 
 _FREQ_SANITY_REL_TOL = 1e-6
@@ -180,10 +180,10 @@ def _grid(doc, p: str) -> GridSpec:
     for key in ("delta_t_s", "f_s_hz"):
         fault = _number_fault(doc[key], key, positive=True)
         _require(fault is None, p, fault)
-    _require(isinstance(doc["unit"], str), p, "unit must be a string")
     try:
+        _check_unit(doc["unit"])
         return GridSpec(doc["n"], float(doc["delta_t_s"]), float(doc["f_s_hz"]))
-    except ValueError as exc:  # GridSpec states the n rule and the consistency check
+    except ValueError as exc:  # the unit rule, then GridSpec's n rule and consistency check
         raise FileFormatError(p, str(exc)) from None
     except OverflowError:  # the consistency check cannot turn n into a float
         raise FileFormatError(
@@ -221,10 +221,6 @@ def _float_column(values: list) -> np.ndarray | None:
     except OverflowError:  # an integer beyond the float range
         return None
     return column if np.all(np.isfinite(column)) else None
-
-
-def _frequencies_match(freqs: np.ndarray, expected: np.ndarray) -> bool:
-    return bool(np.all(np.abs(freqs - expected) <= _FREQ_SANITY_REL_TOL * expected))
 
 
 def _read_document(path: Path) -> Spectrum:
@@ -279,7 +275,8 @@ def _block(data: bytes, done: int, grid: GridSpec):
     column = _float_column(values)
     if column is None:
         return None
-    if not _frequencies_match(column[:count], _train_frequencies(grid, done + 1, done + count)):
+    expected = _train_frequencies(grid, done + 1, done + count)
+    if not np.all(np.abs(column[:count] - expected) <= _FREQ_SANITY_REL_TOL * expected):
         return None
     return column[count:], pieces[-1]
 

@@ -18,6 +18,11 @@ from .linsolve import SolveReport, apply_sign_matrix, solve
 from .waves import GridSpec, SignPattern, _train_frequencies
 
 
+def _check_unit(unit) -> None:
+    if not isinstance(unit, str):
+        raise ValueError(f"unit must be a string, got {unit!r}")
+
+
 def _check_fields(record, field: str, what: str) -> None:
     """Store a record's `field` as a read-only finite copy on its grid; require a str unit."""
     arr = np.array(getattr(record, field), dtype=np.float64, copy=True)
@@ -26,8 +31,7 @@ def _check_fields(record, field: str, what: str) -> None:
         raise DimensionMismatch(f"{what} has shape {arr.shape}, grid expects ({n},)")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} contains non-finite values")
-    if not isinstance(record.unit, str):
-        raise ValueError(f"unit must be a string, got {record.unit!r}")
+    _check_unit(record.unit)
     arr.setflags(write=False)
     object.__setattr__(record, field, arr)
 

@@ -9,6 +9,7 @@ positive, so train n alternates every subinterval and train 1 never flips.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -30,13 +31,10 @@ class GridSpec:
     f_s: float
 
     def __post_init__(self):
-        _check_size(self.n)
-        _check_positive("delta_t", self.delta_t)
-        _check_positive("f_s", self.f_s)
         # plain Python numbers, as json and repr expect, whatever the caller passed
-        object.__setattr__(self, "n", operator.index(self.n))
-        object.__setattr__(self, "delta_t", float(self.delta_t))
-        object.__setattr__(self, "f_s", float(self.f_s))
+        object.__setattr__(self, "n", _check_size(self.n))
+        object.__setattr__(self, "delta_t", _check_positive("delta_t", self.delta_t))
+        object.__setattr__(self, "f_s", _check_positive("f_s", self.f_s))
         if abs(self.f_s * self.delta_t - self.n) > _GRID_REL_TOL * self.n:
             raise ValueError(
                 f"inconsistent grid: f_s * delta_t = {self.f_s * self.delta_t!r} "
@@ -46,30 +44,37 @@ class GridSpec:
     @classmethod
     def from_duration(cls, n: int, delta_t: float) -> "GridSpec":
         """Grid for n samples over delta_t seconds; f_s is derived."""
-        _check_size(n)
-        _check_positive("delta_t", delta_t)
-        return cls(int(n), float(delta_t), n / delta_t)
+        return cls(n, delta_t, _quotient(n, "delta_t", delta_t))
 
     @classmethod
     def from_sampling_rate(cls, n: int, f_s: float) -> "GridSpec":
         """Grid for n samples at f_s samples/second; delta_t is derived."""
-        _check_size(n)
-        _check_positive("f_s", f_s)
-        return cls(int(n), n / f_s, float(f_s))
+        return cls(n, _quotient(n, "f_s", f_s), f_s)
 
 
 def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+def _check_positive(name: str, value: float) -> float:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive real, got {value!r}")
+    return float(value)
 
 
-def _check_size(n: int) -> None:
+def _quotient(n: int, name: str, value: float) -> float:
+    """n / value, the grid field derived from the caller's `name`, after checking both."""
+    quotient = _check_size(n) / _check_positive(name, value)
+    if math.isinf(quotient):
+        raise ValueError(f"{name} = {value!r} is too small for n = {n}: n / {name} overflows")
+    return quotient
+
+
+def _check_size(n: int) -> int:
     if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    return operator.index(n)
 
 
 def _check_index(value: int, n: int, name: str) -> None:

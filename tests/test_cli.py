@@ -127,6 +127,14 @@ class TestAnalyze:
                          "--out", out)
         assert result.returncode == 2
 
+    def test_overflowing_rate_names_delta_t(self, tmp_path, paper_file):
+        out = tmp_path / "s.json"
+        result = run_cli("analyze", str(paper_file), "--delta-t", "1e-320", "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: delta_t = 1e-320 is too small for n = 8: n / delta_t overflows\n")
+        assert not out.exists()
+
     def test_above_former_dense_cap_exit_0(self, tmp_path):
         # n = 20,000 was refused with exit 4; the removed SQWT_MAX_N_DENSE
         # variable is set to show that it is ignored

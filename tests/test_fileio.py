@@ -231,7 +231,7 @@ class TestSpectrumFiles:
         path = self._mutated(tmp_path, lambda d: d.update(n=0, unit=None))
         with pytest.raises(FileFormatError) as err:
             read_spectrum(path)
-        assert str(err.value) == f"{path}: unit must be a string"
+        assert str(err.value) == f"{path}: unit must be a string, got None"
 
     def test_wrong_record_count_rejected(self, tmp_path):
         path = self._mutated(tmp_path, lambda d: d["dyads"].pop())

@@ -104,6 +104,18 @@ class TestRows:
         assert "".join(repr_rows([a, b])) == "".join(
             f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist()))
 
+    @pytest.mark.parametrize("block", [2, 4, 6])
+    def test_block_of_rare_values_only(self, monkeypatch, block):
+        # zeros and subnormals in both columns, rows straddling block boundaries:
+        # the padded repr copies and their emptied tail slots meet each separator
+        monkeypatch.setattr(_floattext, "_BLOCK", block)
+        a = np.array([0.0, -0.0, 5e-324, -1e-310, -0.0])
+        b = np.array([-1e-310, 5e-324, -0.0, 0.0, -1e-310])
+        rows = [f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]
+        per_block = block // 2
+        assert list(repr_rows([a, b])) == [
+            "".join(rows[i : i + per_block]) for i in range(0, len(rows), per_block)]
+
     def test_blocks_hold_at_most_block_values(self, monkeypatch):
         monkeypatch.setattr(_floattext, "_BLOCK", 4)
         blocks = list(repr_rows([np.ones(5), np.ones(5)]))

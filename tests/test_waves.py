@@ -46,6 +46,33 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.from_sampling_rate(4, 0.0)
 
+    @pytest.mark.parametrize("value", [True, "1", None, 1j])
+    @pytest.mark.parametrize("check,name", [
+        (lambda v: GridSpec(4, v, 4.0), "delta_t"),
+        (lambda v: GridSpec(4, 1.0, v), "f_s"),
+        (lambda v: GridSpec.from_duration(4, v), "delta_t"),
+        (lambda v: GridSpec.from_sampling_rate(4, v), "f_s"),
+    ], ids=["GridSpec delta_t", "GridSpec f_s", "from_duration", "from_sampling_rate"])
+    def test_bool_and_non_real_rejected_by_name(self, check, name, value):
+        message = f"{name} must be a positive real, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(value)
+
+    @pytest.mark.parametrize("check,message", [
+        (lambda: GridSpec.from_duration(4, 1e-320),
+         "delta_t = 1e-320 is too small for n = 4: n / delta_t overflows"),
+        (lambda: GridSpec.from_sampling_rate(4, 5e-324),
+         "f_s = 5e-324 is too small for n = 4: n / f_s overflows"),
+    ], ids=["from_duration", "from_sampling_rate"])
+    def test_overflowing_derived_field_names_the_given_one(self, check, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
+
+    def test_derived_field_computed_in_double_precision(self):
+        grid = GridSpec.from_duration(4, np.float32(0.1))
+        assert (grid.delta_t, grid.f_s) == (float(np.float32(0.1)), 4 / float(np.float32(0.1)))
+        assert type(grid.n) is int and type(grid.f_s) is float
+
 
 @pytest.mark.parametrize("check", [
     lambda n: GridSpec(n, 1.0, 1.0),
