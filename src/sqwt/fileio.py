@@ -3,7 +3,9 @@
 A series file is one decimal value per line with an optional `value`
 header. A spectrum file is a JSON document holding the grid metadata and
 per-dyad records; numbers are stored at full precision (shortest
-round-trip decimal form) next to a six-decimal display string.
+round-trip decimal form) next to a six-decimal display string. The series,
+spectrum and plot-data writers all take that float text from
+`_floattext.repr_rows`, in blocks of at most 8,192 values.
 
 `write_spectrum` and the block reader, `read_canonical`, both take the
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
@@ -26,12 +28,9 @@ import numpy as np
 from ._floattext import repr_rows
 from .errors import FileFormatError
 from .transform import ReconstructionReport, Spectrum, _check_unit
-from .waves import GridSpec, _train_frequencies
+from .waves import GridSpec, _as_float, _train_frequencies
 
 _FREQ_SANITY_REL_TOL = 1e-6
-# records written per block by write_spectrum; bounds its scratch memory at
-# any n
-_BLOCK = 1 << 14
 # six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
 # needs no JSON escaping
 _DISPLAY = "(%.6f; %.6f)"
@@ -39,7 +38,7 @@ _DISPLAY_CHARS = b"-0123456789.; ()"
 # json.dumps(doc, indent=2) + "\n" of a spectrum: a header ending in
 # _HEAD_END, dyad records joined by _RECORD_SEP, then _TAIL
 _DYAD_RECORD = (
-    '    {\n      "i": %d,\n      "f_hz": %r,\n      "c": %r,\n'
+    '    {\n      "i": %d,\n      "f_hz": %s,\n      "c": %s,\n'
     f'      "display": "{_DISPLAY}"\n    }}'
 )
 _HEAD_END = '\n  "dyads": [\n'
@@ -66,9 +65,9 @@ def _number_fault(v, what: str, positive: bool = False) -> str | None:
     kind = "a positive finite number" if positive else "a finite number"
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         try:
-            x = float(v)
-        except OverflowError:
-            return f"{what} must be {kind}, got an integer of {len(str(abs(v)))} digits"
+            x = _as_float(v, f"{what} must be {kind}")
+        except ValueError as exc:  # an int past the float range
+            return str(exc)
         if math.isfinite(x) and (x > 0 or not positive):
             return None
     return f"{what} must be {kind}, got {v!r}"
@@ -136,7 +135,7 @@ def format_dyad_display(frequency: float, coefficient: float) -> str:
 
 
 def _spectrum_text(spectrum: Spectrum):
-    """Yield the header, the dyad records in blocks of _BLOCK, then the tail."""
+    """Yield the header, the dyad records block by block as repr_rows cuts them, then the tail."""
     grid = spectrum.grid
     yield "{" + "".join(
         f'\n  "{key}": {json.dumps(value)},'
@@ -147,12 +146,14 @@ def _spectrum_text(spectrum: Spectrum):
     ) + _HEAD_END
     freqs = spectrum.frequencies
     coeffs = spectrum.coefficients
-    columns = [np.arange(1, grid.n + 1), freqs, coeffs, freqs, coeffs]
-    for start in range(0, grid.n, _BLOCK):
-        if start:
-            yield _RECORD_SEP
-        block = [column[start : start + _BLOCK].tolist() for column in columns]
-        yield _RECORD_SEP.join([_DYAD_RECORD % row for row in zip(*block)])
+    lead, done = "", 0
+    for rows in repr_rows([freqs, coeffs]):
+        texts = rows.replace("\n", ",").split(",")  # f_hz, c, f_hz, c, ..., ""
+        end = done + len(texts) // 2
+        records = zip(range(done + 1, end + 1), texts[0::2], texts[1::2],
+                      freqs[done:end].tolist(), coeffs[done:end].tolist())
+        yield lead + _RECORD_SEP.join([_DYAD_RECORD % record for record in records])
+        lead, done = _RECORD_SEP, end
     yield _TAIL
 
 
@@ -161,8 +162,9 @@ def write_spectrum(path, spectrum: Spectrum) -> None:
 
     The bytes are those of `json.dumps(doc, indent=2) + "\\n"`; the header
     scalars go through json.dumps and the dyad records are formatted
-    directly, in blocks through `.tolist()`, so floats print in shortest
-    round-trip form and memory stays bounded at any n.
+    directly, block by block: each f_hz and c is the text `repr_rows` gives
+    the row, as in `write_plotdata`, and only the index and the six-decimal
+    display go through `%`, so memory stays bounded at any n.
     """
     _write_text(path, _spectrum_text(spectrum))
 
@@ -185,10 +187,6 @@ def _grid(doc, p: str) -> GridSpec:
         return GridSpec(doc["n"], float(doc["delta_t_s"]), float(doc["f_s_hz"]))
     except ValueError as exc:  # the unit rule, then GridSpec's n rule and consistency check
         raise FileFormatError(p, str(exc)) from None
-    except OverflowError:  # the consistency check cannot turn n into a float
-        raise FileFormatError(
-            p, f"n must be a positive integer, got an integer of {len(str(doc['n']))} digits"
-        ) from None
 
 
 def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
@@ -210,17 +208,6 @@ def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
         return (f"dyad {i}: frequency {f!r} does not match the grid "
                 f"(expected {f_expected!r})")
     return None
-
-
-def _float_column(values: list) -> np.ndarray | None:
-    """A list of JSON ints and floats as a finite float64 array; None if any is not one."""
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    try:
-        column = np.array(values, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return column if np.all(np.isfinite(column)) else None
 
 
 def _read_document(path: Path) -> Spectrum:
@@ -245,7 +232,7 @@ def _read_document(path: Path) -> Spectrum:
 _CHUNK = 1 << 18
 # _DYAD_RECORD + _RECORD_SEP cut at its fields; as a pattern, the fixed text is
 # escaped, the i, f_hz and c tokens are groups, the display a run of _DISPLAY_CHARS
-_FIELDS = {b"%d": rb"([0-9]+)", b"%r": rb"([-+.0-9eE]+)",
+_FIELDS = {b"%d": rb"([0-9]+)", b"%s": rb"([-+.0-9eE]+)",
            _DISPLAY.encode(): b"[" + re.escape(_DISPLAY_CHARS) + b"]*"}
 _PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)),
                    (_DYAD_RECORD + _RECORD_SEP).encode())
@@ -268,15 +255,14 @@ def _block(data: bytes, done: int, grid: GridSpec):
         return None
     if pieces[1::4] != [b"%d" % i for i in range(done + 1, done + count + 1)]:
         return None
-    try:  # every f_hz, then every c; no token holds a comma
-        values = json.loads(b"[" + b",".join(pieces[2::4] + pieces[3::4]) + b"]")
-    except (ValueError, RecursionError):
-        return None
-    column = _float_column(values)
-    if column is None:
+    try:  # every f_hz, then every c; each token is a JSON int or float, none holds a comma
+        column = np.array(json.loads(b"[" + b",".join(pieces[2::4] + pieces[3::4]) + b"]"),
+                          dtype=np.float64)
+    except (ValueError, OverflowError):  # a malformed token, or an int past the float range
         return None
     expected = _train_frequencies(grid, done + 1, done + count)
-    if not np.all(np.abs(column[:count] - expected) <= _FREQ_SANITY_REL_TOL * expected):
+    if not (np.all(np.abs(column[:count] - expected) <= _FREQ_SANITY_REL_TOL * expected)
+            and np.all(np.isfinite(column[count:]))):
         return None
     return column[count:], pieces[-1]
 

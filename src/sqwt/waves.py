@@ -56,11 +56,22 @@ def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _as_float(value, rule: str) -> float:
+    """float(value); an int past the float range fails `rule`, named by its digit count."""
+    try:
+        return float(value)
+    except OverflowError:  # str() refuses 4,301 digits; log10 is off by at most one
+        k = int(math.log10(abs(value)))
+        digits = k + (10**k <= abs(value)) + (10 ** (k + 1) <= abs(value))
+        raise ValueError(f"{rule}, got an integer of {digits} digits") from None
+
+
 def _check_positive(name: str, value: float) -> float:
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive real, got {value!r}")
-    return float(value)
+    rule = f"{name} must be a positive real"
+    x = _as_float(value, rule) if isinstance(value, numbers.Real) else math.nan
+    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{rule}, got {value!r}")
+    return x
 
 
 def _quotient(n: int, name: str, value: float) -> float:
@@ -74,6 +85,7 @@ def _quotient(n: int, name: str, value: float) -> float:
 def _check_size(n: int) -> int:
     if not _is_integer(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    _as_float(n, "n must be a positive integer")  # the grid check computes with float(n)
     return operator.index(n)
 
 

@@ -248,6 +248,15 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: n must be a positive integer, got 0\n"
         assert not (tmp_path / "o.csv").exists()
 
+    def test_n_past_float_range_named(self, tmp_path):
+        out = tmp_path / "x.csv"
+        result = run_cli("generate", "--seed", "1", "--n", "1" + "0" * 400, "--fs", "2",
+                         "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == (
+            "error: n must be a positive integer, got an integer of 401 digits\n")
+        assert not out.exists()
+
     def test_bad_seed_exit_2(self, tmp_path):
         assert main(["generate", "--seed", "-3", "--n", "4", "--fs", "10",
                      "--out", str(tmp_path / "o.csv")]) == 2

@@ -348,7 +348,7 @@ class TestSpectrumBytes:
         assert back.grid == grid and np.array_equal(back.coefficients, [1.5, -0.25])
 
     def test_matches_json_dumps_across_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(fileio, "_BLOCK", 3)
+        monkeypatch.setattr(_floattext, "_BLOCK", 3)
         for n in (1, 3, 7):
             spectrum = random_spectrum(n, seed=n)
             path = tmp_path / f"spectrum{n}.json"
@@ -356,11 +356,25 @@ class TestSpectrumBytes:
             assert path.read_text(encoding="utf-8") == reference_spectrum_text(spectrum)
             assert np.array_equal(read_spectrum(path).coefficients, spectrum.coefficients)
 
+    @pytest.mark.parametrize("block", [1, 3, 4, None])
+    def test_rare_values_match_json_dumps_in_any_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(_floattext, "_BLOCK", block or _floattext._BLOCK)
+        rare = [0.0, -0.0, 5e-324, -1e-310, 1e16, 1e-5, 1e300, -2.2250738585072014e-308]
+        for n in (1, 2, 5, 8, 9, 4097):
+            spectrum = random_spectrum(n, seed=n)
+            coeffs = spectrum.coefficients.copy()
+            coeffs[::3] = np.resize(rare, len(coeffs[::3]))
+            spectrum = Spectrum(spectrum.grid, coeffs)
+            path = tmp_path / "spectrum.json"
+            write_spectrum(path, spectrum)
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert text == reference_spectrum_text(spectrum)
+
     def test_series_and_plotdata_match_line_formulas(self, tmp_path, monkeypatch):
         spectrum = random_spectrum(10)
         freqs, coeffs = spectrum.frequencies, spectrum.coefficients
-        for block in (3, fileio._BLOCK):
-            monkeypatch.setattr(fileio, "_BLOCK", block)
+        for block in (3, _floattext._BLOCK):
             monkeypatch.setattr(_floattext, "_BLOCK", block)
             write_series_values(tmp_path / "s.csv", coeffs)
             assert (tmp_path / "s.csv").read_text() == "".join(
@@ -542,6 +556,40 @@ NOT_JSON = {"raw quote in display", "control character in display", "blank lines
             "a byte between two records"}
 
 
+class _EndsAfterTail:
+    """A binary file whose reads return nothing after the header and the tail, as if cut short."""
+
+    def __init__(self, file):
+        self.file, self.reads = file, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def read(self, size=-1):
+        self.reads += 1
+        return self.file.read(size) if self.reads <= 2 else b""
+
+
+def _open_binary_as(monkeypatch, wrap):
+    """Make Path.open hand each file it opens "rb" to wrap; returns the list of what wrap made."""
+    opened = []
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        file = real_open(self, mode, *args, **kwargs)
+        if mode == "rb":
+            opened.append(file := wrap(file))
+        return file
+    monkeypatch.setattr(Path, "open", open_)
+    return opened
+
+
 class TestCanonicalReader:
     """write_spectrum's layout is read in blocks; anything else as it was."""
 
@@ -590,6 +638,27 @@ class TestCanonicalReader:
             read_spectrum(path)
         assert str(err.value) == (
             f"{path}: not UTF-8 text: invalid start byte at byte offset {at}")
+
+    def test_file_ending_before_its_size_read_as_document(self, tmp_path, monkeypatch):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, random_spectrum(100))
+        expected = outcome(fileio._read_document, path)
+        opened = _open_binary_as(monkeypatch, _EndsAfterTail)
+        assert outcome(read_spectrum, path) == expected
+        assert [file.reads for file in opened] == [3]  # header, tail, then an empty chunk
+
+    def test_binary_open_failure_read_as_document(self, tmp_path, monkeypatch):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, sample_spectrum())
+        expected = outcome(fileio._read_document, path)
+
+        def refuse(file):
+            file.close()
+            raise PermissionError(13, "Permission denied")
+        _open_binary_as(monkeypatch, refuse)
+        assert outcome(read_spectrum, path) == expected
+        spectrum = sample_spectrum()
+        assert expected == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
 
     def test_pipe_read_once(self, tmp_path):
         fifo = tmp_path / "spectrum.fifo"

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,38 @@ class TestGridSpec:
         grid = GridSpec.from_duration(4, np.float32(0.1))
         assert (grid.delta_t, grid.f_s) == (float(np.float32(0.1)), 4 / float(np.float32(0.1)))
         assert type(grid.n) is int and type(grid.f_s) is float
+
+    @pytest.mark.parametrize("check,message", [
+        (lambda: GridSpec(10**400, 1.0, 1.0), "n must be a positive integer"),
+        (lambda: GridSpec(4, 10**400, 4), "delta_t must be a positive real"),
+        (lambda: GridSpec(4, 1.0, -(10**400)), "f_s must be a positive real"),
+        (lambda: GridSpec.from_sampling_rate(4, 10**400), "f_s must be a positive real"),
+        (lambda: GridSpec.from_sampling_rate(10**400, 2.0), "n must be a positive integer"),
+        (lambda: GridSpec.from_duration(10**400, 2.0), "n must be a positive integer"),
+        (lambda: SignPattern(10**400), "n must be a positive integer"),
+    ], ids=["GridSpec n", "GridSpec delta_t", "GridSpec f_s", "from_sampling_rate f_s",
+            "from_sampling_rate n", "from_duration n", "SignPattern"])
+    def test_int_past_float_range_named_by_digits(self, check, message):
+        with pytest.raises(ValueError, match=f"^{message}, got an integer of 401 digits$"):
+            check()
+
+    @pytest.mark.parametrize("digits", [310, 400, 4300, 4301, 5000])
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["all nines", "power of ten"])
+    def test_digit_count_of_long_ints(self, digits, offset):
+        n = 10 ** (digits - 1 - offset) + offset  # 10**d - 1 has d digits, 10**d has d + 1
+        message = f"n must be a positive integer, got an integer of {digits} digits"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridSpec(n, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"^delta_t must be a positive real, got an integer"
+                                             f" of {digits} digits$"):
+            GridSpec(4, n, 4.0)
+
+    def test_largest_int_below_float_range_accepted(self):
+        n = int(sys.float_info.max)
+        assert GridSpec.from_sampling_rate(n, 2.0).n == n
+        with pytest.raises(ValueError, match="^n must be a positive integer, got an integer"
+                                             " of 309 digits$"):
+            GridSpec.from_sampling_rate(2**1024, 2.0)
 
 
 @pytest.mark.parametrize("check", [
