@@ -11,7 +11,6 @@ cannot be written, or values whose transform overflows float64.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -108,15 +107,9 @@ def _cmd_analyze(args) -> int:
     series = TimeSeries(values, grid, args.unit)
     spectrum, solve_report = forward(series)
     recon = reconstruction_report(series, inverse(spectrum))
+    if args.report is not None:  # first: a report that cannot be written leaves --out untouched
+        write_report(args.report, recon)
     write_spectrum(args.out, spectrum)
-    if args.report is not None:
-        try:
-            write_report(args.report, recon)
-        except Exception:
-            if os.path.isfile(args.out):  # not /dev/null or a pipe: this run wrote it
-                with contextlib.suppress(OSError):
-                    os.remove(args.out)  # a failed run leaves no spectrum behind
-            raise
     print(f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz")
     print(
         f"solve: residual_inf={solve_report.residual_inf_norm:.3e} "

@@ -57,13 +57,17 @@ def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
 
 
 def _as_float(value, rule: str) -> float:
-    """float(value); an int past the float range fails `rule`, named by its digit count."""
+    """float(value); a value past the float range fails `rule`, named by its integer digits."""
     try:
         return float(value)
-    except OverflowError:  # str() refuses 4,301 digits; log10 is off by at most one
-        k = int(math.log10(abs(value)))
-        digits = k + (10**k <= abs(value)) + (10 ** (k + 1) <= abs(value))
-        raise ValueError(f"{rule}, got an integer of {digits} digits") from None
+    except OverflowError:  # str() refuses 4,301 digits; log10 of an int is off by at most one
+        whole = abs(int(value))  # exact for an int or a Fraction, so log10 cannot overflow
+        k = int(math.log10(whole))
+        digits = k + (10**k <= whole) + (10 ** (k + 1) <= whole)
+        if isinstance(value, numbers.Integral):
+            raise ValueError(f"{rule}, got an integer of {digits} digits") from None
+        kind = type(value).__name__
+        raise ValueError(f"{rule}, got a {kind} of {digits} integer digits") from None
 
 
 def _check_positive(name: str, value: float) -> float:

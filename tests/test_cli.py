@@ -354,28 +354,40 @@ class TestUnwritableOutput:
             assert not (tmp_path / "s.json").exists()
             assert "wrote" not in result.stdout
 
-    def test_failed_report_leaves_a_non_regular_out_alone(self, tmp_path, inputs,
-                                                          monkeypatch, capsys):
-        removed = []
-        monkeypatch.setattr(os, "remove", removed.append)  # records, never unlinks
-        target = str(tmp_path / "missing" / "r.json")
-        code = main(["analyze", str(inputs[0]), "--fs", "4",
-                     "--out", os.devnull, "--report", target])
-        assert code == 2
-        assert f"error: {target}: cannot write file: " in capsys.readouterr().err
-        assert removed == []
+    @pytest.mark.parametrize("kind", ["missing directory", "directory"])
+    def test_failed_report_never_opens_out(self, tmp_path, inputs, monkeypatch, capsys, kind):
+        calls = []
 
-    def test_failed_cleanup_keeps_the_report_error(self, tmp_path, inputs,
-                                                   monkeypatch, capsys):
-        def refuse(path):
-            raise PermissionError(13, "Permission denied", path)
+        def recording_write_spectrum(path, spectrum):
+            calls.append(path)
+            write_spectrum(path, spectrum)
 
-        monkeypatch.setattr(os, "remove", refuse)
-        target = str(tmp_path / "missing" / "r.json")
+        monkeypatch.setattr("sqwt.fileio.write_spectrum", recording_write_spectrum)
+        out = tmp_path / "old.json"
+        out.write_bytes(inputs[1].read_bytes())
+        target = str(tmp_path / "missing" / "r.json" if kind == "missing directory" else tmp_path)
         code = main(["analyze", str(inputs[0]), "--fs", "4",
-                     "--out", str(tmp_path / "s.json"), "--report", target])
+                     "--out", str(out), "--report", target])
+        captured = capsys.readouterr()
         assert code == 2
-        assert f"error: {target}: cannot write file: " in capsys.readouterr().err
+        assert f"error: {target}: cannot write file: " in captured.err
+        assert "wrote" not in captured.out
+        assert calls == []
+        assert out.read_bytes() == inputs[1].read_bytes()
+
+    def test_failed_out_keeps_the_written_report(self, tmp_path, inputs, capsys):
+        series = str(inputs[0])
+        assert main(["analyze", series, "--fs", "4", "--out", str(tmp_path / "ok.json"),
+                     "--report", str(tmp_path / "expected.json")]) == 0
+        capsys.readouterr()
+        target = str(tmp_path / "missing" / "s.json")
+        report = tmp_path / "r.json"
+        code = main(["analyze", series, "--fs", "4", "--out", target, "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"error: {target}: cannot write file: " in captured.err
+        assert "wrote" not in captured.out
+        assert report.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

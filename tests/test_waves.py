@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestGridSpec:
             "from_sampling_rate n", "from_duration n", "SignPattern"])
     def test_int_past_float_range_named_by_digits(self, check, message):
         with pytest.raises(ValueError, match=f"^{message}, got an integer of 401 digits$"):
+            check()
+
+    @pytest.mark.parametrize("check,message", [
+        (lambda: GridSpec(4, Fraction(10**400), 4.0), "delta_t must be a positive real"),
+        (lambda: GridSpec.from_sampling_rate(4, Fraction(10**400)), "f_s must be a positive real"),
+        (lambda: GridSpec.from_duration(4, Fraction(-10**400)), "delta_t must be a positive real"),
+    ], ids=["GridSpec delta_t", "from_sampling_rate f_s", "from_duration delta_t"])
+    def test_fraction_past_float_range_named_by_integer_digits(self, check, message):
+        with pytest.raises(ValueError, match=f"^{message}, got a Fraction of 401 integer digits$"):
             check()
 
     @pytest.mark.parametrize("digits", [310, 400, 4300, 4301, 5000])
