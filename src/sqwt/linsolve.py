@@ -12,11 +12,14 @@ Ordered by span this is lower triangular, with diagonal -2 for spans
 1..n-1 and 1 for span n, so |det| = 2^(n-1) and the system is never
 singular. Forward substitution runs over dyadic span blocks [L, 2L): every
 proper divisor of a span in a block lies below the block. The solve and
-the matrix-free product both take O(n log n) time and O(n) memory.
+the matrix-free product both take O(n log n) time and O(n) memory. Only
+the product is compensated: the substitution sums plainly, and solve's
+refinement step corrects it from the product's residual.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -71,50 +74,41 @@ def _span_blocks(n: int):
         start = stop
 
 
-def _proper_divisor_sums(x: np.ndarray, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of (-1)^(i/l) x[l] over the proper divisors l of each i in [start, stop).
+def _divisor_terms(x: np.ndarray, start: int, stop: int):
+    """The terms (-1)^(i/l) x[l] over the proper divisors l of each i in [start, stop).
 
     Requires stop <= 2 * start, so every proper divisor is below start.
-    Returns (hi, lo) with hi + lo the TwoSum-compensated sum. Divisor pairs
-    (l, m = i/l) are swept as strided slices: all multiples of each l up
-    to sqrt(stop), then all larger l for each quotient m, so the loops run
-    O(sqrt(stop)) times. The order of additions is fixed.
+    Yields (rows, terms) pairs, rows a strided slice of [0, stop - start).
+    Divisor pairs (l, m = i/l) are swept as strided slices: all multiples
+    of each l up to sqrt(stop), then all larger l for each quotient m, so
+    the loops run O(sqrt(stop)) times. The order of the pairs is fixed.
     """
-    width = stop - start
-    hi = np.zeros(width)
-    lo = np.zeros(width)
-    alternating = np.where(np.arange(width + 2) & 1, -1.0, 1.0)
+    alternating = np.where(np.arange(stop - start + 2) & 1, -1.0, 1.0)
     split = math.isqrt(stop)
-
-    def add(rows, terms):
-        total = hi[rows] + terms
-        lo[rows] += _two_sum_error(hi[rows], terms, total)
-        hi[rows] = total
-
     for l in range(1, min(split, start - 1) + 1):
         m = -(-start // l)
         count = -(-stop // l) - m
-        add(slice(m * l - start, None, l), x[l] * alternating[m & 1 : (m & 1) + count])
+        yield slice(m * l - start, None, l), x[l] * alternating[m & 1 : (m & 1) + count]
     for m in range(2, (stop - 1) // (split + 1) + 1):
         first = max(split + 1, -(-start // m))
         last = min(start, -(-stop // m))
         if first < last:
             rows = slice(first * m - start, (last - 1) * m - start + 1, m)
-            add(rows, x[first:last] if m % 2 == 0 else -x[first:last])
-    return hi, lo
+            yield rows, x[first:last] if m % 2 == 0 else -x[first:last]
 
 
 def _substitute(rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution on the differenced system; coefficients in train order."""
+    """Forward substitution with plain divisor sums; coefficients in train order."""
     n = rhs.shape[0]
     x = np.zeros(n + 1)  # x[l]: coefficient of the train with span l
     half_diff = np.zeros(n)
     half_diff[1:] = np.diff(rhs) / 2.0
     for start, stop in _span_blocks(n):
-        hi, lo = _proper_divisor_sums(x, start, stop)
-        x[start:stop] = (hi - half_diff[start:stop]) + lo
-    sums, corrections = _prefix_sums(x[:n], np.zeros(n))  # x[0] is 0
-    x[n] = (rhs[0] - sums[-1]) - corrections[-1]
+        sums = np.zeros(stop - start)
+        for rows, terms in _divisor_terms(x, start, stop):
+            sums[rows] += terms
+        x[start:stop] = sums - half_diff[start:stop]
+    x[n] = rhs[0] - x[:n].sum()  # x[0] is 0
     return x[:0:-1].copy()
 
 
@@ -123,16 +117,19 @@ def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[0]
     spans = np.zeros(n + 1)
     spans[1:] = x[::-1]
-    diff_hi = np.empty(n)
-    diff_lo = np.empty(n)
+    diff_hi = np.zeros(n)
+    diff_lo = np.zeros(n)
+    for start, stop in _span_blocks(n):
+        hi, lo = diff_hi[start:stop], diff_lo[start:stop]
+        own = (slice(None), -spans[start:stop])
+        for rows, terms in itertools.chain(_divisor_terms(spans, start, stop), [own]):
+            total = hi[rows] + terms
+            lo[rows] += _two_sum_error(hi[rows], terms, total)
+            hi[rows] = total
+    diff_hi *= 2.0
+    diff_lo *= 2.0
     sums, corrections = _prefix_sums(spans[1:], np.zeros(n))
     diff_hi[0], diff_lo[0] = sums[-1], corrections[-1]
-    for start, stop in _span_blocks(n):
-        hi, lo = _proper_divisor_sums(spans, start, stop)
-        own = -spans[start:stop]
-        total = hi + own
-        diff_hi[start:stop] = 2.0 * total
-        diff_lo[start:stop] = 2.0 * (lo + _two_sum_error(hi, own, total))
     return _prefix_sums(diff_hi, diff_lo)
 
 
@@ -164,12 +161,14 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
 def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """Solve sign_matrix @ c = rhs.
 
-    Forward substitution on the differenced system, then one refinement
-    step that feeds the residual back through the substitution; the step is
-    skipped when the residual is exactly zero. The reported residual is
-    recomputed with apply_sign_matrix afterwards. Deterministic for fixed
-    inputs. Raises OverflowError when the coefficients leave the float64
-    range, which takes series values near its limit.
+    Forward substitution with plain sums, then one refinement step that
+    feeds the residual, formed by the compensated product, back through the
+    substitution; the step is skipped when the residual is exactly zero.
+    The coefficients come out as the exact solution rounded to nearest on
+    every input the tests check. The reported residual is recomputed with
+    apply_sign_matrix afterwards. Deterministic for fixed inputs. Raises
+    OverflowError when the coefficients leave the float64 range, which
+    takes series values near its limit.
     """
     n = pattern.n
     rhs = np.asarray(rhs, dtype=np.float64)

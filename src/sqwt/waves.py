@@ -56,14 +56,30 @@ def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _digits(whole: int) -> int:
+    """Decimal digits of a nonzero int: str() refuses 4,301 digits, log10 is off by at most one."""
+    whole = abs(whole)  # exact, so log10 cannot overflow
+    k = int(math.log10(whole))
+    return k + (10**k <= whole) + (10 ** (k + 1) <= whole)
+
+
+def _shown(value) -> str:
+    """repr(value), or for an int or Fraction too long for repr, its digit counts."""
+    try:
+        return repr(value)
+    except ValueError:  # Python's limit on int-to-decimal conversion
+        if isinstance(value, numbers.Integral):
+            return f"an integer of {_digits(value)} digits"
+        num, den = _digits(value.numerator), _digits(value.denominator)
+        return f"a {type(value).__name__} of {num} numerator and {den} denominator digits"
+
+
 def _as_float(value, rule: str) -> float:
     """float(value); a value past the float range fails `rule`, named by its integer digits."""
     try:
         return float(value)
-    except OverflowError:  # str() refuses 4,301 digits; log10 of an int is off by at most one
-        whole = abs(int(value))  # exact for an int or a Fraction, so log10 cannot overflow
-        k = int(math.log10(whole))
-        digits = k + (10**k <= whole) + (10 ** (k + 1) <= whole)
+    except OverflowError:
+        digits = _digits(int(value))  # int() is exact for an int or a Fraction
         if isinstance(value, numbers.Integral):
             raise ValueError(f"{rule}, got an integer of {digits} digits") from None
         kind = type(value).__name__
@@ -74,7 +90,7 @@ def _check_positive(name: str, value: float) -> float:
     rule = f"{name} must be a positive real"
     x = _as_float(value, rule) if isinstance(value, numbers.Real) else math.nan
     if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{rule}, got {value!r}")
+        raise ValueError(f"{rule}, got {_shown(value)}")
     return x
 
 
@@ -82,20 +98,22 @@ def _quotient(n: int, name: str, value: float) -> float:
     """n / value, the grid field derived from the caller's `name`, after checking both."""
     quotient = _check_size(n) / _check_positive(name, value)
     if math.isinf(quotient):
-        raise ValueError(f"{name} = {value!r} is too small for n = {n}: n / {name} overflows")
+        raise ValueError(
+            f"{name} = {_shown(value)} is too small for n = {n}: n / {name} overflows"
+        )
     return quotient
 
 
 def _check_size(n: int) -> int:
     if not _is_integer(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+        raise ValueError(f"n must be a positive integer, got {_shown(n)}")
     _as_float(n, "n must be a positive integer")  # the grid check computes with float(n)
     return operator.index(n)
 
 
 def _check_index(value: int, n: int, name: str) -> None:
     if not _is_integer(value) or not 1 <= value <= n:
-        raise IndexError(f"{name} must be in [1..{n}], got {value!r}")
+        raise IndexError(f"{name} must be in [1..{n}], got {_shown(value)}")
 
 
 def sign_at(n: int, i: int, j: int) -> int:

@@ -1,17 +1,36 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwt import DimensionMismatch, SignPattern, apply_sign_matrix, sign_at, solve
+from sqwt import (
+    DimensionMismatch,
+    GridSpec,
+    SignPattern,
+    apply_sign_matrix,
+    generate,
+    sign_at,
+    solve,
+)
 
 import oracles
-from oracles import solve_sign_system_exact, solve_sign_system_sieve
+from oracles import (
+    sign_matrix_product_rounded,
+    solve_sign_system_exact,
+    solve_sign_system_rounded,
+    solve_sign_system_scaled,
+)
 
 PAPER_VALUES = np.array([84.0, -152.0, 63.0, 98.0, -35.0, 0.0, 145.0, -14.0])
 PAPER_COEFFS = np.array([170.5, -38.5, -100.5, -135.5, 195.0, -135.5, 10.5, 118.0])
+
+
+def bits(x):
+    """The float64 bit patterns of x: unlike ==, tells -0.0 from +0.0."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 def assemble_dense(pattern):
@@ -163,9 +182,8 @@ class TestSolve:
     def test_matches_exact_sieve_oracle_at_scale(self, n):
         rhs = np.random.default_rng(n).uniform(-99.99999, 99.99999, n)
         x, _ = solve(SignPattern(n), rhs)
-        exact = np.array([float(c) for c in solve_sign_system_sieve(n, rhs)])
-        assert np.max(np.abs(x - exact)) <= 1e-10
-        assert np.mean(x == exact) >= 0.99  # correctly rounded coefficients
+        exact = solve_sign_system_rounded(rhs)
+        assert np.array_equal(bits(x), bits(exact))  # every coefficient correctly rounded
 
 
 class TestClosedForms:
@@ -175,6 +193,7 @@ class TestClosedForms:
     def test_constant_series_is_train_one(self, n, a):
         x, _ = solve(SignPattern(n), np.full(n, a))
         assert np.array_equal(x, np.r_[a, np.zeros(n - 1)])
+        assert not np.signbit(x[1:]).any()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(min_value=1, max_value=300),
@@ -187,7 +206,16 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_sieve_oracle_matches_elimination_oracle(self, n):
         rhs = np.random.default_rng(n).uniform(-100, 100, n)
-        assert solve_sign_system_sieve(n, rhs) == solve_sign_system_exact(n, rhs)
+        numerators, shift = solve_sign_system_scaled(rhs)
+        exact = [Fraction(k, 1 << shift) for k in numerators]
+        assert exact == solve_sign_system_exact(n, rhs)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_product_oracle_matches_fraction_product(self, n):
+        x = np.random.default_rng(50 + n).uniform(-100, 100, n)
+        exact = [float(sum(s * Fraction(v) for s, v in zip(row, x.tolist())))
+                 for row in oracles.sign_matrix(n)]
+        assert np.array_equal(bits(sign_matrix_product_rounded(x)), bits(exact))
 
     @pytest.mark.parametrize("n, l0", [(60, 4), (97, 3), (500, 7), (1000, 10)])
     def test_coefficients_vanish_off_the_divisor_support(self, n, l0):
@@ -200,6 +228,30 @@ class TestClosedForms:
         spans = n - np.arange(n)  # x[j - 1] belongs to the train of span n - j + 1
         off = (spans < n) & (spans % l0 != 0)
         assert np.all(x[off] == 0.0)
-        exact = np.array([float(c) for c in solve_sign_system_sieve(n, rhs)])
+        exact = solve_sign_system_rounded(rhs)
         assert np.all(exact[off] == 0.0)
         assert np.array_equal(x, exact)
+
+
+def series_family(family, n):
+    rng = np.random.default_rng(n)
+    if family == "generated":
+        return generate(7, n, GridSpec.from_sampling_rate(n, 1000.0)).series.values
+    if family == "uniform":
+        return rng.uniform(-1e3, 1e3, n)
+    return rng.lognormal(0.0, 3.0, n) * rng.choice([-1.0, 1.0], n)  # signed lognormal
+
+
+@pytest.mark.parametrize("family", ["generated", "uniform", "lognormal"])
+class TestCorrectlyRoundedAt100k:
+    """The accuracy contract, against the exact integer oracle at n = 10^5."""
+
+    def test_every_coefficient_correctly_rounded(self, family):
+        rhs = series_family(family, 100_000)
+        x, _ = solve(SignPattern(100_000), rhs)
+        assert np.array_equal(bits(x), bits(solve_sign_system_rounded(rhs)))
+
+    def test_every_product_sample_correctly_rounded(self, family):
+        x, _ = solve(SignPattern(100_000), series_family(family, 100_000))
+        y = apply_sign_matrix(SignPattern(100_000), x)
+        assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))

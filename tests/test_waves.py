@@ -98,6 +98,24 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=f"^{message}, got a Fraction of 401 integer digits$"):
             check()
 
+    @pytest.mark.parametrize("check,message", [
+        (lambda: GridSpec(4, Fraction(1, 10**5000), 4.0),
+         "delta_t must be a positive real, got a Fraction of 1 numerator and 5001"
+         " denominator digits"),
+        (lambda: GridSpec.from_sampling_rate(4, Fraction(1, 10**5000)),
+         "f_s must be a positive real, got a Fraction of 1 numerator and 5001"
+         " denominator digits"),
+        (lambda: GridSpec.from_duration(4, Fraction(10**4400 + 1, 10**4720)),
+         "delta_t = a Fraction of 4401 numerator and 4721 denominator digits is too small"
+         " for n = 4: n / delta_t overflows"),
+        (lambda: GridSpec(-(10**5000), 1.0, 1.0),
+         "n must be a positive integer, got an integer of 5001 digits"),
+    ], ids=["GridSpec delta_t", "from_sampling_rate f_s", "from_duration delta_t", "GridSpec n"])
+    def test_value_too_long_for_repr_named_by_digits(self, check, message):
+        # repr of an int past 4,300 digits raises Python's own ValueError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
+
     @pytest.mark.parametrize("digits", [310, 400, 4300, 4301, 5000])
     @pytest.mark.parametrize("offset", [-1, 0], ids=["all nines", "power of ten"])
     def test_digit_count_of_long_ints(self, digits, offset):
@@ -198,6 +216,11 @@ class TestSignAt:
             sign_at(2, 1, True)
         with pytest.raises(IndexError):
             train_frequency(GridSpec(2, 1.0, 2.0), True)
+
+    def test_index_too_long_for_repr_named_by_digits(self):
+        with pytest.raises(IndexError, match=r"^subinterval index i must be in \[1\.\.4\], got an"
+                                             " integer of 5001 digits$"):
+            sign_at(4, 10**5000, 1)
 
 
 class TestSignPattern:
