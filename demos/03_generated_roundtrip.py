@@ -38,7 +38,7 @@ def main():
     t0 = time.perf_counter()
     spectrum, report = forward(series)
     print(f"\nsolved {N}x{N} system in {report.elapsed_seconds:.2f} s "
-          f"(residual_inf {report.residual_inf_norm:.3e}, "
+          f"(first-pass residual {report.residual_inf_norm:.3e}, "
           f"refinement steps {report.refinement_steps_used})")
 
     print("\nfirst ten dyads:")

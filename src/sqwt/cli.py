@@ -4,8 +4,8 @@ The solver is single-threaded and deterministic, so --threads is accepted
 and validated for compatibility with existing scripts but changes nothing.
 sqwt makes no BLAS call, so when neither OPENBLAS_NUM_THREADS nor
 OMP_NUM_THREADS is set, a CLI process sets both to 1 before numpy starts.
-Exit codes: 0 success, 2 bad flags, unparsable input, an output that
-cannot be written, or values whose transform overflows float64.
+Exit codes: 0 success, 2 bad flags, unparsable input, an output or a
+stdout that cannot be written, or values whose transform overflows float64.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> list[str]:
     from .fileio import read_series_values, write_report, write_spectrum
     from .transform import TimeSeries, forward, inverse, reconstruction_report
     from .waves import GridSpec
@@ -110,34 +110,31 @@ def _cmd_analyze(args) -> int:
     if args.report is not None:  # first: a report that cannot be written leaves --out untouched
         write_report(args.report, recon)
     write_spectrum(args.out, spectrum)
-    print(f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz")
-    print(
+    lines = [
+        f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz",
         f"solve: residual_inf={solve_report.residual_inf_norm:.3e} "
         f"refinement_steps={solve_report.refinement_steps_used} "
-        f"elapsed={solve_report.elapsed_seconds:.4f} s"
-    )
-    print(
+        f"elapsed={solve_report.elapsed_seconds:.4f} s",
         f"round trip: max_abs_error={recon.max_abs_error:.3e} "
-        f"at i={recon.index_of_max} rms_error={recon.rms_error:.3e}"
-    )
-    print(f"wrote spectrum to {args.out}")
+        f"at i={recon.index_of_max} rms_error={recon.rms_error:.3e}",
+        f"wrote spectrum to {args.out}",
+    ]
     if args.report is not None:
-        print(f"wrote report to {args.report}")
-    return EXIT_OK
+        lines.append(f"wrote report to {args.report}")
+    return lines
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> list[str]:
     from .fileio import read_spectrum, write_series_values
     from .transform import inverse
 
     spectrum = read_spectrum(args.input)
     series = inverse(spectrum)
     write_series_values(args.out, series.values)
-    print(f"wrote {series.n} values to {args.out}")
-    return EXIT_OK
+    return [f"wrote {series.n} values to {args.out}"]
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> list[str]:
     from .fileio import write_series_values
     from .random_series import generate
     from .waves import GridSpec
@@ -145,21 +142,19 @@ def _cmd_generate(args) -> int:
     grid = GridSpec.from_sampling_rate(args.n, args.fs)
     result = generate(args.seed, args.n, grid)
     write_series_values(args.out, result.series.values)
-    print(
+    return [
         f"generated n={args.n} values with seed={args.seed}: "
-        f"f_s={grid.f_s} Hz, delta_t={grid.delta_t} s"
-    )
-    print(f"wrote series to {args.out}")
-    return EXIT_OK
+        f"f_s={grid.f_s} Hz, delta_t={grid.delta_t} s",
+        f"wrote series to {args.out}",
+    ]
 
 
-def _cmd_spectrum_plotdata(args) -> int:
+def _cmd_spectrum_plotdata(args) -> list[str]:
     from .fileio import read_spectrum, write_plotdata
 
     spectrum = read_spectrum(args.input)
     write_plotdata(args.out, spectrum)
-    print(f"wrote {spectrum.n} rows to {args.out}")
-    return EXIT_OK
+    return [f"wrote {spectrum.n} rows to {args.out}"]
 
 
 def main(argv=None) -> int:
@@ -175,10 +170,18 @@ def main(argv=None) -> int:
     try:
         if args.threads is not None and args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        lines = args.func(args)
     except (FileFormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:  # the output files are written; a full disk or a closed pipe fails here
+        print(*lines, sep="\n", flush=True)
+    except OSError as exc:
+        print(f"error: stdout: cannot write: {exc.strerror}", file=sys.stderr)
+        if argv is None:  # a process entry: keep the interpreter's final flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,8 +36,8 @@ class SolveReport:
 
     min_pivot is the constant 1.0, the diagonal of the unit triangular
     system; it stays because the acceptance gate's nonsingularity sweep
-    (criterion 7) reads it. residual_inf_norm is recomputed matrix-free
-    after the refinement step.
+    (criterion 7) reads it. residual_inf_norm is max |rhs - A x| of the
+    first pass, the residual the refinement step corrects.
     """
 
     min_pivot: float
@@ -165,8 +165,8 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
     feeds the residual, formed by the compensated product, back through the
     substitution; the step is skipped when the residual is exactly zero.
     The coefficients come out as the exact solution rounded to nearest on
-    every input the tests check. The reported residual is recomputed with
-    apply_sign_matrix afterwards. Deterministic for fixed inputs. Raises
+    every input the tests check. The report gives the residual before the
+    step; the error after it is the round trip. Deterministic. Raises
     OverflowError when the coefficients leave the float64 range, which
     takes series values near its limit.
     """
@@ -194,7 +194,6 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
             f"coefficients overflow float64 (max |V| = {np.max(np.abs(rhs)):.3e}); "
             "scale the series down"
         )
-    residual = rhs - apply_sign_matrix(pattern, x)
     report = SolveReport(
         min_pivot=1.0,
         residual_inf_norm=float(np.max(np.abs(residual))),

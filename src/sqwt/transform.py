@@ -88,8 +88,9 @@ class ReconstructionReport:
 def forward(series: TimeSeries) -> tuple[Spectrum, SolveReport]:
     """Decompose a series into its dyad spectrum by solving the sign system.
 
-    The returned coefficients satisfy the per-subinterval signed sums up to
-    the residual recorded in the SolveReport.
+    The SolveReport's residual is that of the first pass, before the
+    refinement step corrects it; the error after it is the round trip,
+    which reconstruction_report measures on inverse(spectrum).
     """
     pattern = SignPattern(series.grid.n)
     coefficients, report = solve(pattern, series.values)

@@ -389,6 +389,27 @@ class TestUnwritableOutput:
         assert "wrote" not in captured.out
         assert report.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_unwritable_stdout_exit_2(self, tmp_path, unbuffered):
+        readonly = tmp_path / "stdout.txt"
+        readonly.write_text("")
+        out = tmp_path / "g.csv"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with readonly.open("rb") as stdout:  # writes to it fail with EBADF
+            result = subprocess.run(
+                [sys.executable, "-m", "sqwt", "generate", "--seed", "1", "--n", "10",
+                 "--fs", "10", "--out", str(out)],
+                stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: stdout: cannot write: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+        assert len(read_series_values(out)) == 10
+        assert readonly.read_text() == ""
+
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 

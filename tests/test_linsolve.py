@@ -17,6 +17,7 @@ from sqwt import (
 )
 
 import oracles
+import sqwt.linsolve as linsolve
 from oracles import (
     sign_matrix_product_rounded,
     solve_sign_system_exact,
@@ -178,6 +179,41 @@ class TestSolve:
         _, report = solve(SignPattern(n), rhs)
         assert report.residual_inf_norm <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("n", [4000, 100_000])
+    @pytest.mark.parametrize("family", ["generated", "uniform"])
+    def test_report_measures_the_first_pass(self, family, n):
+        # the reported residual is the one the refinement step corrects:
+        # rhs minus the product of the first substitution
+        rhs = series_family(family, n)
+        x, report = solve(SignPattern(n), rhs)
+        assert report.refinement_steps_used == 1
+        first_pass = sign_matrix_product_rounded(linsolve._substitute(rhs))
+        expected = np.max(np.abs(rhs - first_pass))
+        scale = np.max(np.abs(rhs))
+        assert abs(report.residual_inf_norm - expected) <= 4 * np.spacing(scale)
+        # the error after the correction is the round trip
+        after = np.max(np.abs(apply_sign_matrix(SignPattern(n), x) - rhs))
+        assert after <= 1e-9 * max(1.0, scale)
+
+    @pytest.mark.parametrize("rhs, steps", [
+        (PAPER_VALUES, 0), (np.linspace(-99.5, 99.25, 500) ** 3, 1),
+    ], ids=["step skipped", "step taken"])
+    def test_one_product_per_solve(self, monkeypatch, rhs, steps):
+        calls = []
+
+        def counted(name, function):
+            def call(*args):
+                calls.append(name)
+                return function(*args)
+            return call
+
+        monkeypatch.setattr(linsolve, "_product", counted("_product", linsolve._product))
+        monkeypatch.setattr(linsolve, "apply_sign_matrix",
+                            counted("apply_sign_matrix", linsolve.apply_sign_matrix))
+        _, report = solve(SignPattern(len(rhs)), rhs)
+        assert calls == ["_product"]
+        assert report.refinement_steps_used == steps
+
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_matches_exact_sieve_oracle_at_scale(self, n):
         rhs = np.random.default_rng(n).uniform(-99.99999, 99.99999, n)
@@ -255,3 +291,13 @@ class TestCorrectlyRoundedAt100k:
         x, _ = solve(SignPattern(100_000), series_family(family, 100_000))
         y = apply_sign_matrix(SignPattern(100_000), x)
         assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))
+
+    def test_round_trip_within_the_rounding_bound(self, family):
+        # c is the exact solution rounded to nearest and the product of c is
+        # rounded to nearest, so |A c - V|_i <= sum_j ulp(c_j) / 2 and the
+        # rebuilt sample adds at most ulp(rebuilt_i) / 2
+        rhs = series_family(family, 100_000)
+        x, _ = solve(SignPattern(100_000), rhs)
+        rebuilt = apply_sign_matrix(SignPattern(100_000), x)
+        bound = np.sum(np.spacing(np.abs(x))) / 2 + np.spacing(np.abs(rebuilt)) / 2
+        assert np.all(np.abs(rebuilt - rhs) <= bound)
