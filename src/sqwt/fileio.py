@@ -7,12 +7,14 @@ round-trip decimal form) next to a six-decimal display string. The series,
 spectrum and plot-data writers all take that float text from
 `_floattext.repr_rows`, in blocks of at most 8,192 values.
 
-`write_spectrum` and the block reader, `read_canonical`, both take the
+`write_spectrum` and the block reader, `_read_canonical`, both take the
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
-reader matches records with one pattern built from the record template. A
-file that departs from the layout is read as one JSON document. Both
-readers leave the header's `n` rule to GridSpec and check each stored
-frequency against the frequency law of `sqwt.waves`.
+reader reads a canonical file once, front to back, and matches records with
+one pattern built from the record template; the file's size only bounds n.
+A file that departs from the layout, or a spectrum read from a pipe, is
+read as one JSON document, held whole in memory. Both readers leave the
+header's `n` rule to GridSpec and check each stored frequency against the
+frequency law of `sqwt.waves`.
 """
 
 from __future__ import annotations
@@ -267,13 +269,15 @@ def _block(data: bytes, done: int, grid: GridSpec):
     return column[count:], pieces[-1]
 
 
-def read_canonical(file, p: str) -> Spectrum | None:
+def _read_canonical(file) -> Spectrum | None:
     """The spectrum in a binary file of the canonical layout; None if it departs from it.
 
-    Decodes the header with json.loads, checks the tail, then reads the
-    records in chunks of _CHUNK bytes, each one put after the partial
-    record carried from the one before; a carry longer than _CHUNK falls
-    back.
+    One pass, front to back, reading each byte once: decodes the header
+    with json.loads, then sends the bytes after it, and each later chunk of
+    _CHUNK bytes, through _block behind the partial record carried from the
+    one before. At the end of the file the carry must end in _TAIL, read as
+    _RECORD_SEP. A carry longer than _CHUNK falls back; the file's size
+    only bounds n before n floats are allocated.
     """
     size = os.fstat(file.fileno()).st_size
     head = file.read(_CHUNK)
@@ -283,26 +287,19 @@ def read_canonical(file, p: str) -> Spectrum | None:
     try:
         # the dyads array then closes the top-level object
         doc = json.loads(head[:pos].decode("utf-8") + "]}")
-        grid = _grid(doc, p)
+        grid = _grid(doc, file.name)  # the message is dropped: the fallback names the fault
     except (ValueError, RecursionError, FileFormatError):
         return None
-    end = size - len(_TAIL)
-    if pos >= end or grid.n * len(_PIECES[0]) > size:  # too few bytes for n records
+    if grid.n * len(_PIECES[0]) > size:  # too few bytes for n records
         return None
-    file.seek(end)
-    if file.read() != _TAIL.encode():
-        return None
-    file.seek(pos)
     coefficients = np.empty(grid.n)
-    carry = b""
-    done = 0
-    while pos < end:
-        chunk = file.read(min(_CHUNK, end - pos))
-        if not chunk:
-            return None
-        pos += len(chunk)
-        if pos >= end:  # the reader ends the last record with _RECORD_SEP too
-            chunk += _RECORD_SEP.encode()
+    # the bytes after the header are the first chunk (none there does not end the file)
+    carry, chunk, done, more = b"", head[pos:] or file.read(_CHUNK), 0, True
+    while more:
+        if not chunk:  # the end of the file: the last record then ends like the others
+            if not carry.endswith(_TAIL.encode()):
+                return None
+            carry, chunk, more = carry[: -len(_TAIL)], _RECORD_SEP.encode(), False
         block = _block(carry + chunk, done, grid)
         if block is None:
             return None
@@ -311,6 +308,7 @@ def read_canonical(file, p: str) -> Spectrum | None:
         done += len(column)
         if len(carry) > _CHUNK:
             return None
+        chunk = file.read(_CHUNK) if more else b""
     if carry or done != grid.n:
         return None
     return Spectrum(grid, coefficients, doc["unit"])
@@ -321,18 +319,19 @@ def read_spectrum(path) -> Spectrum:
 
     Checks the record count, ascending 1..n indices, finite numbers, and
     that stored frequencies agree with the grid's frequency law; display
-    strings are presentation-only and ignored. A file in the layout that
-    `write_spectrum` writes is read in blocks of bounded size; any other
-    valid JSON goes through one json.loads of the whole document, with the
-    same result. A fault in either case is reported as the document reader
-    reports it.
+    strings are presentation-only and ignored. A regular file in the
+    layout that `write_spectrum` writes is read once, front to back, in
+    blocks of bounded size; its size only bounds n. Any other valid JSON,
+    and a spectrum read from a pipe, goes through one json.loads of the
+    whole document, held in memory, with the same result. A fault in
+    either case is reported as the document reader reports it.
     """
     path = Path(path)
     spectrum = None
     if path.is_file():  # a pipe can be read only once: as a document
         try:
             with path.open("rb") as file:
-                spectrum = read_canonical(file, str(path))
+                spectrum = _read_canonical(file)
         except OSError:
             pass  # _read_document reports it
     return spectrum if spectrum is not None else _read_document(path)

@@ -556,11 +556,12 @@ NOT_JSON = {"raw quote in display", "control character in display", "blank lines
             "a byte between two records"}
 
 
-class _EndsAfterTail:
-    """A binary file whose reads return nothing after the header and the tail, as if cut short."""
+class _CountedFile:
+    """A binary file that counts its reads and the bytes they return; reads after the first
+    `keep` return nothing, as if the file were cut short there (keep=None: never)."""
 
-    def __init__(self, file):
-        self.file, self.reads = file, 0
+    def __init__(self, file, keep=None):
+        self.file, self.keep, self.reads, self.bytes = file, keep, 0, 0
 
     def __enter__(self):
         return self
@@ -573,7 +574,9 @@ class _EndsAfterTail:
 
     def read(self, size=-1):
         self.reads += 1
-        return self.file.read(size) if self.reads <= 2 else b""
+        data = self.file.read(size) if self.keep is None or self.reads <= self.keep else b""
+        self.bytes += len(data)
+        return data
 
 
 def _open_binary_as(monkeypatch, wrap):
@@ -623,8 +626,65 @@ class TestCanonicalReader:
             spectrum = sample_spectrum()
             assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
         with path.open("rb") as file:
-            in_blocks = fileio.read_canonical(file, str(path)) is not None
+            in_blocks = fileio._read_canonical(file) is not None
         assert in_blocks == (name == "a number spelled with an exponent")
+
+    @pytest.mark.parametrize("n", [8, 100])
+    def test_cut_or_extended_files_read_as_documents(self, tmp_path, monkeypatch, n):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, random_spectrum(n, seed=n, unit="mV"))
+        data = path.read_bytes()
+        in_blocks = []
+        read_canonical = fileio._read_canonical
+        monkeypatch.setattr(fileio, "_read_canonical",
+                            lambda file: in_blocks.append(read_canonical(file)) or in_blocks[-1])
+        # the extended files, one whose last newline is a space (valid JSON, but not the
+        # canonical tail), the file itself, then every shorter prefix, cut in place
+        texts = [data + extra for extra in (b" ", b"\n", fileio._TAIL.encode())]
+        texts += [data[:-1] + b" ", data]
+        for text in texts + list(range(len(data) - 1, -1, -1)):
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                os.truncate(path, text)
+            expected = outcome(fileio._read_document, path)
+            for chunk in (256, 700):
+                monkeypatch.setattr(fileio, "_CHUNK", chunk)
+                in_blocks.clear()
+                cut = f"{path.stat().st_size} bytes, _CHUNK {chunk}"
+                assert outcome(read_spectrum, path) == expected, cut
+                assert (in_blocks != [None]) == (text is data), cut
+
+    def test_each_byte_read_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_CHUNK", 256)
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = random_spectrum(4000)
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        opened = _open_binary_as(monkeypatch, _CountedFile)
+        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
+        assert [file.bytes for file in opened] == [path.stat().st_size]
+
+    # past = 0 leaves the whole tail to the last read, 7 ends the first read at
+    # the end of the file and 8 asks for a byte past it
+    @pytest.mark.parametrize("past", range(len(fileio._TAIL) + 2))
+    @pytest.mark.parametrize("n", [1, 8, 100])
+    def test_tail_split_across_last_read(self, tmp_path, monkeypatch, n, past):
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = random_spectrum(n, seed=n, unit="mV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        monkeypatch.setattr(fileio, "_CHUNK", path.stat().st_size - len(fileio._TAIL) + past)
+        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
+
+    def test_first_read_ending_at_the_header(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = random_spectrum(100, unit="m" * 300)  # a header longer than any record
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        head_end = path.read_bytes().index(fileio._HEAD_END.encode()) + len(fileio._HEAD_END)
+        monkeypatch.setattr(fileio, "_CHUNK", head_end)
+        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
 
     def test_bad_byte_in_a_record_names_file(self, tmp_path):
         path = tmp_path / "spectrum.json"
@@ -633,19 +693,20 @@ class TestCanonicalReader:
         at = data.index(b'"c": ', data.index(b'"i": 3,')) + len(b'"c": ')
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with path.open("rb") as file:
-            assert fileio.read_canonical(file, str(path)) is None
+            assert fileio._read_canonical(file) is None
         with pytest.raises(FileFormatError) as err:
             read_spectrum(path)
         assert str(err.value) == (
             f"{path}: not UTF-8 text: invalid start byte at byte offset {at}")
 
     def test_file_ending_before_its_size_read_as_document(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_CHUNK", 256)
         path = tmp_path / "spectrum.json"
         write_spectrum(path, random_spectrum(100))
         expected = outcome(fileio._read_document, path)
-        opened = _open_binary_as(monkeypatch, _EndsAfterTail)
+        opened = _open_binary_as(monkeypatch, lambda file: _CountedFile(file, keep=1))
         assert outcome(read_spectrum, path) == expected
-        assert [file.reads for file in opened] == [3]  # header, tail, then an empty chunk
+        assert [file.reads for file in opened] == [2]  # the first chunk, then the end of the file
 
     def test_binary_open_failure_read_as_document(self, tmp_path, monkeypatch):
         path = tmp_path / "spectrum.json"
