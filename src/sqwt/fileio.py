@@ -30,7 +30,7 @@ import numpy as np
 from ._floattext import repr_rows
 from .errors import FileFormatError
 from .transform import ReconstructionReport, Spectrum, _check_unit
-from .waves import GridSpec, _as_float, _train_frequencies
+from .waves import GridSpec, _as_float, _finite_vector, _train_frequencies
 
 _FREQ_SANITY_REL_TOL = 1e-6
 # six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
@@ -127,8 +127,9 @@ def read_series_values(path) -> np.ndarray:
 
 
 def write_series_values(path, values) -> None:
-    """Write one value per line in shortest round-trip decimal form."""
-    _write_text(path, repr_rows([values]))
+    """Write one value per line in shortest round-trip decimal form. Before opening the file,
+    refuses what read_series_values would refuse, except empty input (an empty file)."""
+    _write_text(path, repr_rows([_finite_vector(values, None, "values")]))
 
 
 def format_dyad_display(frequency: float, coefficient: float) -> str:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .waves import SignPattern
+from .waves import SignPattern, _finite_vector
 
 
 @dataclass(frozen=True)
@@ -141,17 +140,14 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     then a compensated prefix sum. The order of operations is fixed, so the
     result is bit-reproducible, exact on integer vectors, and free of the
     rounding drift a plain running sum would pick up (coefficients can
-    dwarf the series values by orders of magnitude). Raises OverflowError
-    when a finite x gives a product beyond the float64 range.
+    dwarf the series values by orders of magnitude). Takes a finite x of
+    length n; OverflowError means its product leaves the float64 range.
     """
-    n = pattern.n
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise DimensionMismatch(f"expected a vector of length {n}, got shape {x.shape}")
+    x = _finite_vector(x, pattern.n, "x")
     with np.errstate(over="ignore", invalid="ignore"):
         sums, corrections = _product(x)
         product = sums + corrections
-    if not np.all(np.isfinite(product)) and np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(product)):
         raise OverflowError(
             f"sign-matrix product overflows float64 (max |x| = {np.max(np.abs(x)):.3e})"
         )
@@ -166,16 +162,11 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
     substitution; the step is skipped when the residual is exactly zero.
     The coefficients come out as the exact solution rounded to nearest on
     every input the tests check. The report gives the residual before the
-    step; the error after it is the round trip. Deterministic. Raises
-    OverflowError when the coefficients leave the float64 range, which
-    takes series values near its limit.
+    step; the error after it is the round trip. Deterministic. Takes a
+    finite rhs of length n; OverflowError means the coefficients leave the
+    float64 range, which takes series values near its limit.
     """
-    n = pattern.n
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (n,):
-        raise DimensionMismatch(f"expected a vector of length {n}, got shape {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("right-hand side contains non-finite values")
+    rhs = _finite_vector(rhs, pattern.n, "rhs")
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         x = _substitute(rhs)

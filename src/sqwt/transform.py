@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linsolve import SolveReport, apply_sign_matrix, solve
-from .waves import GridSpec, SignPattern, _train_frequencies
+from .waves import GridSpec, SignPattern, _finite_vector, _train_frequencies
 
 
 def _check_unit(unit) -> None:
@@ -25,12 +25,7 @@ def _check_unit(unit) -> None:
 
 def _check_fields(record, field: str, what: str) -> None:
     """Store a record's `field` as a read-only finite copy on its grid; require a str unit."""
-    arr = np.array(getattr(record, field), dtype=np.float64, copy=True)
-    n = record.grid.n
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"{what} has shape {arr.shape}, grid expects ({n},)")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
+    arr = _finite_vector(np.array(getattr(record, field), dtype=np.float64), record.grid.n, what)
     _check_unit(record.unit)
     arr.setflags(write=False)
     object.__setattr__(record, field, arr)
@@ -45,7 +40,7 @@ class TimeSeries:
     unit: str = ""
 
     def __post_init__(self):
-        _check_fields(self, "values", "series")
+        _check_fields(self, "values", "values")
 
     @property
     def n(self) -> int:

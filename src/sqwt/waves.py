@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 _GRID_REL_TOL = 1e-9
 
 
@@ -116,6 +118,17 @@ def _check_index(value: int, n: int, name: str) -> None:
         raise IndexError(f"{name} must be in [1..{n}], got {_shown(value)}")
 
 
+def _finite_vector(values, n: int | None, what: str) -> np.ndarray:
+    """values as float64, refused unless it has one axis, n entries (if n is given), all finite."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or (n is not None and arr.shape[0] != n):
+        expected = "one axis" if n is None else f"({n},)"
+        raise DimensionMismatch(f"{what} has shape {arr.shape}, expected {expected}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
+
+
 def sign_at(n: int, i: int, j: int) -> int:
     """Sign (+1 or -1) of train j at subinterval i.
 
@@ -136,16 +149,15 @@ def train_frequency(grid: GridSpec, i: int) -> float:
     """Frequency of train i in hertz.
 
     Train n fits one full wave into two subintervals, so its frequency is
-    f_s / 2; train i is slower by its half-wave span. Computed as
-    f_s / (2 * (n - i + 1)), a single division, which keeps the top
-    frequency exactly equal to f_s / 2.
+    f_s / 2; train i is slower by its half-wave span (see _train_frequencies).
     """
     _check_index(i, grid.n, "train index i")
-    return grid.f_s / (2.0 * (grid.n - i + 1))
+    return float(_train_frequencies(grid, i, i)[0])
 
 
 def _train_frequencies(grid: GridSpec, first: int = 1, last: int | None = None) -> np.ndarray:
-    """Frequencies of trains first..last (all by default), as train_frequency computes each."""
+    """Frequencies of trains first..last (all by default): train i runs at
+    f_s / (2 * (n - i + 1)), a single division, so train n is exactly f_s / 2."""
     stop = 0 if last is None else grid.n - last  # the span of train `last`, less one
     return grid.f_s / (2.0 * np.arange(grid.n - first + 1, stop, -1, dtype=np.float64))
 

@@ -655,6 +655,23 @@ class TestCanonicalReader:
                 assert outcome(read_spectrum, path) == expected, cut
                 assert (in_blocks != [None]) == (text is data), cut
 
+    @pytest.mark.parametrize("extra,in_blocks", [(2 * fileio._CHUNK, False),
+                                                 (fileio._CHUNK + 1, True)])
+    def test_record_longer_than_a_chunk(self, tmp_path, monkeypatch, extra, in_blocks):
+        # record 2's display padded with digits: a carry past _CHUNK falls back
+        spectrum = random_spectrum(8, seed=8, unit="mV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        data = path.read_bytes()
+        record_2 = data.index(b'"i": 2,')
+        at = data.index(b'"display": "(', record_2) + len(b'"display": "(')
+        path.write_bytes(data[:at] + b"0" * extra + data[at:])
+        with path.open("rb") as file:
+            assert (fileio._read_canonical(file) is not None) == in_blocks
+        if in_blocks:
+            monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
+
     def test_each_byte_read_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_CHUNK", 256)
         monkeypatch.setattr(fileio, "_read_document", _no_document_reader)

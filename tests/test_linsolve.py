@@ -115,10 +115,11 @@ class TestProductOverflow:
                 apply_sign_matrix(SignPattern(4), np.full(4, 1e308))
 
     def test_non_finite_input_is_not_called_overflow(self):
+        # a non-finite x is refused up front; OverflowError is left for finite input
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = apply_sign_matrix(SignPattern(3), np.array([1.0, np.inf, 0.0]))
-        assert not np.all(np.isfinite(out))
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x contains non-finite values$"):
+                apply_sign_matrix(SignPattern(3), np.array([1.0, np.inf, 0.0]))
 
 
 class TestSolve:

@@ -281,6 +281,15 @@ class TestTrainFrequency:
         freqs = waves._train_frequencies(grid, first, last)
         assert freqs.tolist() == [train_frequency(grid, i) for i in range(first, last + 1)]
 
+    @pytest.mark.parametrize("n,f_s", [(1, 1.0), (7, 3.0), (10**4, 2000.0), (10**4, 0.1),
+                                       (4097, 1e-300), (100, 1e300)])
+    def test_every_train_follows_the_law_bit_for_bit(self, n, f_s):
+        grid = GridSpec.from_sampling_rate(n, f_s)
+        for i in range(1, n + 1):
+            got = train_frequency(grid, i)
+            assert type(got) is float
+            assert got.hex() == (grid.f_s / (2.0 * (n - i + 1))).hex(), i
+
     @pytest.mark.parametrize("n,i,span", [(8, 5, 4), (10, 10, 1), (10, 1, 10), (1, 1, 1)])
     def test_half_wave_span(self, n, i, span):
         # train i holds its sign for n - i + 1 subintervals, and its frequency
