@@ -28,7 +28,7 @@ def main():
     out_dir.mkdir(exist_ok=True)
 
     grid = GridSpec.from_sampling_rate(N, F_S)
-    result = generate(SEED, N, grid)
+    result = generate(SEED, grid)
     series = result.series
     print(f"generated n={N} values, seed={result.seed}, "
           f"f_s={grid.f_s} Hz, delta_t={grid.delta_t} s")

@@ -1,7 +1,5 @@
 """Command-line surface: analyze, reconstruct, generate, spectrum-plotdata.
 
-The solver is single-threaded and deterministic, so --threads is accepted
-and validated for compatibility with existing scripts but changes nothing.
 sqwt makes no BLAS call, so when neither OPENBLAS_NUM_THREADS nor
 OMP_NUM_THREADS is set, a CLI process sets both to 1 before numpy starts.
 Exit codes: 0 success, 2 bad flags, unparsable input, an output or a
@@ -20,15 +18,6 @@ _BLAS_THREAD_VARS = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="accepted for compatibility; must be >= 1 and has no effect",
-    )
-
     parser = argparse.ArgumentParser(
         prog="sqwt",
         description="Square-wave decomposition and reconstruction of "
@@ -36,11 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="decompose a series file into a dyad spectrum",
-    )
+    p = sub.add_parser("analyze", help="decompose a series file into a dyad spectrum")
     p.add_argument("input", help="series file, one value per line")
     grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--delta-t", type=float, metavar="SECONDS",
@@ -53,20 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", default="", help="unit label carried into the spectrum")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser(
-        "reconstruct",
-        parents=[common],
-        help="rebuild the series from a spectrum file",
-    )
+    p = sub.add_parser("reconstruct", help="rebuild the series from a spectrum file")
     p.add_argument("input", help="spectrum JSON file")
     p.add_argument("--out", required=True, help="series output path")
     p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser(
-        "generate",
-        parents=[common],
-        help="write a seeded synthetic series file",
-    )
+    p = sub.add_parser("generate", help="write a seeded synthetic series file")
     p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     p.add_argument("--n", type=int, required=True, help="number of values")
     p.add_argument("--fs", type=float, required=True, metavar="HERTZ",
@@ -74,11 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="series output path")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser(
-        "spectrum-plotdata",
-        parents=[common],
-        help="export a spectrum as a two-column (f_hz, c) CSV for plotting",
-    )
+    p = sub.add_parser("spectrum-plotdata",
+                       help="export a spectrum as a two-column (f_hz, c) CSV for plotting")
     p.add_argument("input", help="spectrum JSON file")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=_cmd_spectrum_plotdata)
@@ -140,7 +114,7 @@ def _cmd_generate(args) -> list[str]:
     from .waves import GridSpec
 
     grid = GridSpec.from_sampling_rate(args.n, args.fs)
-    result = generate(args.seed, args.n, grid)
+    result = generate(args.seed, grid)
     write_series_values(args.out, result.series.values)
     return [
         f"generated n={args.n} values with seed={args.seed}: "
@@ -168,8 +142,6 @@ def main(argv=None) -> int:
     from .errors import FileFormatError
 
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         lines = args.func(args)
     except (FileFormatError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

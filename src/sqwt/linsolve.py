@@ -33,13 +33,10 @@ from .waves import SignPattern, _finite_vector
 class SolveReport:
     """Diagnostics from one solve.
 
-    min_pivot is the constant 1.0, the diagonal of the unit triangular
-    system; it stays because the acceptance gate's nonsingularity sweep
-    (criterion 7) reads it. residual_inf_norm is max |rhs - A x| of the
-    first pass, the residual the refinement step corrects.
+    residual_inf_norm is max |rhs - A x| of the first pass, the residual
+    the refinement step corrects.
     """
 
-    min_pivot: float
     residual_inf_norm: float
     refinement_steps_used: int
     elapsed_seconds: float
@@ -186,7 +183,6 @@ def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveRepor
             "scale the series down"
         )
     report = SolveReport(
-        min_pivot=1.0,
         residual_inf_norm=float(np.max(np.abs(residual))),
         refinement_steps_used=used,
         elapsed_seconds=time.perf_counter() - t0,

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .transform import TimeSeries
-from .waves import GridSpec, _check_size, _is_integer
+from .waves import GridSpec, _is_integer, _shown
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -47,7 +46,7 @@ class DigitStream:
 
     def __init__(self, seed: int):
         if not _is_integer(seed) or not 0 <= seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
         self.seed = int(seed)
         self._state = int(seed)
 
@@ -92,15 +91,13 @@ def _values_from_digits(d: np.ndarray) -> np.ndarray:
     return values
 
 
-def generate(seed: int, n: int, grid: GridSpec) -> GeneratedSeries:
-    """Draw n consecutive values from a fresh DigitStream(seed) on the grid.
+def generate(seed: int, grid: GridSpec) -> GeneratedSeries:
+    """Draw grid.n consecutive values from a fresh DigitStream(seed) on the grid.
 
     Each value takes the next eight digits of the stream; they are drawn in
     vectorised blocks of at most _BLOCK values.
     """
-    _check_size(n)
-    if grid.n != n:
-        raise DimensionMismatch(f"grid is sized for {grid.n} samples, requested {n}")
+    n = grid.n
     stream = DigitStream(seed)
     values = np.empty(n, dtype=np.float64)
     for start in range(0, n, _BLOCK):

@@ -307,16 +307,23 @@ class TestEndToEnd:
         back = read_series_values(back_path)
         assert np.max(np.abs(original - back)) <= 1e-9
 
-    def test_threads_flag_accepted(self, tmp_path, paper_file):
-        out = tmp_path / "s.json"
-        result = run_cli("analyze", str(paper_file), "--delta-t", "2",
-                         "--out", str(out), "--threads", "1")
-        assert result.returncode == 0
-
-    def test_threads_must_be_positive(self, paper_file, tmp_path):
-        result = run_cli("analyze", str(paper_file), "--delta-t", "2",
-                         "--out", str(tmp_path / "s.json"), "--threads", "0")
+    @pytest.mark.parametrize("command", ["analyze", "reconstruct", "generate", "spectrum-plotdata"])
+    def test_threads_flag_refused(self, tmp_path, paper_file, command):
+        spectrum = tmp_path / "spectrum.json"
+        write_spectrum(spectrum, Spectrum(GridSpec(8, 2.0, 4.0), PAPER_VALUES))
+        out = tmp_path / "out"
+        args = {
+            "analyze": ["analyze", str(paper_file), "--fs", "4"],
+            "reconstruct": ["reconstruct", str(spectrum)],
+            "generate": ["generate", "--seed", "1", "--n", "10", "--fs", "10"],
+            "spectrum-plotdata": ["spectrum-plotdata", str(spectrum)],
+        }[command]
+        result = run_cli(*args, "--out", str(out), "--threads", "1")
         assert result.returncode == 2
+        assert "unrecognized arguments: --threads 1" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert not out.exists()
 
 
 class TestUnwritableOutput:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sqwt import GridSpec, SignPattern, apply_sign_matrix, sign_at, train_frequency, waves
-from sqwt.random_series import generate
 
 from oracles import run_length_sign
 
@@ -141,8 +140,7 @@ class TestGridSpec:
     lambda n: GridSpec.from_sampling_rate(n, 1.0),
     lambda n: sign_at(n, 1, 1),
     SignPattern,
-    lambda n: generate(1, n, GridSpec(1, 1.0, 1.0)),
-], ids=["GridSpec", "from_duration", "from_sampling_rate", "sign_at", "SignPattern", "generate"])
+], ids=["GridSpec", "from_duration", "from_sampling_rate", "sign_at", "SignPattern"])
 @pytest.mark.parametrize("n", [0, 2.5, "3", True])
 def test_every_size_check_names_n(check, n):
     with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
