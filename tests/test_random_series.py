@@ -132,6 +132,24 @@ class TestGenerate:
         assert np.array_equal(first.series.values, second.series.values)
         assert first.seed == 42
 
+    @pytest.mark.parametrize("grid", [
+        GridSpec(8, 2.0, 4.0),
+        GridSpec.from_duration(6, 3.0),
+        GridSpec.from_sampling_rate(random_series._BLOCK + 3, 2000.0),
+    ], ids=["GridSpec", "from_duration", "from_sampling_rate"])
+    def test_series_lies_on_the_given_grid(self, grid):
+        series = generate(3, grid).series
+        assert series.grid == grid
+        assert series.values.shape == (grid.n,)
+
+    def test_shorter_grid_draws_a_prefix(self):
+        # n is taken from the grid and does not enter the stream, so a
+        # shorter grid, across a block boundary too, draws the same leading values
+        n = random_series._BLOCK + 3
+        full = generate(11, self.grid(n)).series.values
+        for m in (1, random_series._BLOCK, n - 1):
+            assert_same_values(generate(11, self.grid(m)).series.values, full[:m])
+
     def test_different_seeds_differ_early(self):
         g = self.grid(100)
         for s1, s2 in [(0, 1), (7, 8), (1000, 2000)]:
