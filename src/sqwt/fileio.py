@@ -11,18 +11,20 @@ spectrum and plot-data writers all take that float text from
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
 reader reads a canonical file once, front to back, and matches records with
 one pattern built from the record template; the file's size only bounds n.
-A file that departs from the layout, or a spectrum read from a pipe, is
-read as one JSON document, held whole in memory. Both readers leave the
-header's `n` rule to GridSpec and check each stored frequency against the
-frequency law of `sqwt.waves`.
+A pipe is first copied to a temporary file; a file that departs from the
+layout is read again, from the same open file, as one JSON document, held
+whole in memory. Both readers leave the header's `n` rule to GridSpec and
+check each stored frequency against the frequency law of `sqwt.waves`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +55,19 @@ _RECORD_KEYS = ("i", "f_hz", "c")
 _NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
+@contextlib.contextmanager
+def _faults_named(path, what: str):
+    """Raise an OSError in the block as FileFormatError `<path>: <what>: <strerror>`."""
+    try:
+        yield
+    except OSError as exc:
+        raise FileFormatError(path, f"{what}: {exc.strerror}") from exc
+
+
 def _write_text(path, pieces) -> None:
     """Write an iterable of strings to a file, as each one comes; an OSError names the file."""
-    try:
-        with Path(path).open("w", encoding="utf-8") as out:
-            out.writelines(pieces)
-    except OSError as exc:
-        raise FileFormatError(str(path), f"cannot write file: {exc.strerror}") from exc
+    with _faults_named(path, "cannot write file"), Path(path).open("w", encoding="utf-8") as out:
+        out.writelines(pieces)
 
 
 def _number_fault(v, what: str, positive: bool = False) -> str | None:
@@ -75,17 +83,14 @@ def _number_fault(v, what: str, positive: bool = False) -> str | None:
     return f"{what} must be {kind}, got {v!r}"
 
 
-def _read_text(path: Path) -> str:
-    """The text of an input file without a leading byte-order mark; FileFormatError names a file
-    that cannot be read or is not UTF-8, giving the bad byte's offset from the file's start."""
+def _read_text(file, name) -> str:
+    """The text of an open binary input file without a leading byte-order mark; FileFormatError
+    names a file that is not UTF-8, giving the bad byte's offset from the file's start."""
     try:
-        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
-    except OSError as exc:
-        raise FileFormatError(str(path), f"cannot read file: {exc.strerror}") from exc
+        return file.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise FileFormatError(
-            str(path), f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
-        ) from None
+        fault = f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+        raise FileFormatError(name, fault) from None
 
 
 def read_series_values(path) -> np.ndarray:
@@ -98,9 +103,8 @@ def read_series_values(path) -> np.ndarray:
     Text with a non-ASCII or _NOT_IN_SERIES character is cut at line ends
     only, and each of its tokens is checked for them.
     """
-    path = Path(path)
-    p = str(path)
-    text = _read_text(path)
+    with _faults_named(path, "cannot read file"), Path(path).open("rb") as file:
+        text = _read_text(file, path)
     clean = text.isascii() and not any(c in text for c in _NOT_IN_SERIES)
     values: list[float] = []
     # the lines are held by the loop alone, so they are freed before the array is built
@@ -116,13 +120,13 @@ def read_series_values(path) -> np.ndarray:
             if lineno == 1 and token.lower() == "value":
                 continue
             fault = f"not a decimal number: {token!r}" if token else "blank line in series file"
-            raise FileFormatError(p, fault, lineno) from None
+            raise FileFormatError(path, fault, lineno) from None
         if not math.isfinite(value):
             token = raw.strip(" \t")
-            raise FileFormatError(p, f"non-finite value not allowed: {token!r}", lineno)
+            raise FileFormatError(path, f"non-finite value not allowed: {token!r}", lineno)
         values.append(value)
     if not values:
-        raise FileFormatError(p, "file contains no values")
+        raise FileFormatError(path, "file contains no values")
     return np.asarray(values, dtype=np.float64)
 
 
@@ -213,11 +217,10 @@ def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
     return None
 
 
-def _read_document(path: Path) -> Spectrum:
-    """Parse a spectrum file with one json.loads and check it, naming the first fault."""
-    p = str(path)
+def _read_document(file, p: str) -> Spectrum:
+    """Parse and check an open spectrum file with one json.loads, naming the first fault."""
     try:
-        doc = json.loads(_read_text(path))  # the text is freed once it is parsed
+        doc = json.loads(_read_text(file, p))  # the text is freed once it is parsed
     except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise FileFormatError(p, f"not valid JSON: {exc}") from None
     grid = _grid(doc, p)
@@ -320,22 +323,29 @@ def read_spectrum(path) -> Spectrum:
 
     Checks the record count, ascending 1..n indices, finite numbers, and
     that stored frequencies agree with the grid's frequency law; display
-    strings are presentation-only and ignored. A regular file in the
-    layout that `write_spectrum` writes is read once, front to back, in
-    blocks of bounded size; its size only bounds n. Any other valid JSON,
-    and a spectrum read from a pipe, goes through one json.loads of the
-    whole document, held in memory, with the same result. A fault in
-    either case is reported as the document reader reports it.
+    strings are presentation-only and ignored. The input is opened once; a
+    pipe is first copied to a tempfile.TemporaryFile, as large as the
+    stream, in tempfile.gettempdir() and gone when the read ends. The layout
+    of `write_spectrum` is read once, in blocks of bounded size; the file's
+    size only bounds n. Other valid JSON is read again from the same open
+    file as one document, held in memory, with the same result or fault.
     """
-    path = Path(path)
-    spectrum = None
-    if path.is_file():  # a pipe can be read only once: as a document
-        try:
-            with path.open("rb") as file:
-                spectrum = _read_canonical(file)
-        except OSError:
-            pass  # _read_document reports it
-    return spectrum if spectrum is not None else _read_document(path)
+    with _faults_named(path, "cannot read file"), contextlib.ExitStack() as files:
+        file = files.enter_context(Path(path).open("rb"))
+        if not file.seekable():  # a pipe, FIFO or terminal: read in blocks from a copy
+            with _faults_named(path, "cannot copy to a temporary file"):
+                copy = files.enter_context(tempfile.TemporaryFile())
+            while chunk := file.read(_CHUNK):  # a fault reading the stream is the input's
+                with _faults_named(path, "cannot copy to a temporary file"):
+                    copy.write(chunk)
+                    copy.flush()  # so that no fault of the copy is left for the seek
+            copy.seek(0)
+            file = copy
+        spectrum = _read_canonical(file)
+        if spectrum is None:
+            file.seek(0)
+            spectrum = _read_document(file, str(path))
+    return spectrum
 
 
 def write_plotdata(path, spectrum: Spectrum) -> None:

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import os
 import re
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, fileio
+from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, cli, fileio
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -525,8 +527,40 @@ class TestSpectrumRecordFaults:
         assert self._read_doc(tmp_path, self._set(pos, key, value)) == message
 
 
-def _no_document_reader(path):
-    raise AssertionError(f"{path} fell back to the document reader")
+def _no_document_reader(file, name):
+    raise AssertionError(f"{name} fell back to the document reader")
+
+
+def read_document(path):
+    """The document reader alone on the file at path, opened as read_spectrum opens it."""
+    with open(path, "rb") as file:
+        return fileio._read_document(file, str(path))
+
+
+def error_text(path):
+    """The text of the FileFormatError that read_spectrum raises for path."""
+    with pytest.raises(FileFormatError) as err:
+        read_spectrum(path)
+    return str(err.value)
+
+
+def through_fifo(tmp_path, data, call):
+    """(fifo, call(fifo)), with call run in one thread while another writes data into the FIFO."""
+    fifo = tmp_path / "spectrum.fifo"
+    os.mkfifo(fifo)
+    result = []
+
+    def write():
+        with contextlib.suppress(BrokenPipeError):  # the reader may stop before the end
+            fifo.write_bytes(data)
+    threads = [threading.Thread(target=write, daemon=True),
+               threading.Thread(target=lambda: result.append(call(fifo)), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=20)
+    assert result and not any(thread.is_alive() for thread in threads)
+    return fifo, result[0]
 
 
 def departures():
@@ -557,11 +591,11 @@ NOT_JSON = {"raw quote in display", "control character in display", "blank lines
 
 
 class _CountedFile:
-    """A binary file that counts its reads and the bytes they return; reads after the first
-    `keep` return nothing, as if the file were cut short there (keep=None: never)."""
+    """A binary file that counts its reads and the bytes they return; it ends after its first
+    `cut` bytes, as if cut short there once it was open (cut=None: never)."""
 
-    def __init__(self, file, keep=None):
-        self.file, self.keep, self.reads, self.bytes = file, keep, 0, 0
+    def __init__(self, file, cut=None):
+        self.file, self.cut, self.reads, self.bytes = file, cut, 0, 0
 
     def __enter__(self):
         return self
@@ -574,7 +608,8 @@ class _CountedFile:
 
     def read(self, size=-1):
         self.reads += 1
-        data = self.file.read(size) if self.keep is None or self.reads <= self.keep else b""
+        start = self.file.tell()
+        data = self.file.read(size)[: None if self.cut is None else max(0, self.cut - start)]
         self.bytes += len(data)
         return data
 
@@ -621,7 +656,7 @@ class TestCanonicalReader:
         path = tmp_path / "spectrum.json"
         path.write_bytes(DEPARTURES[name].encode("utf-8"))
         result = outcome(read_spectrum, path)
-        assert result == outcome(fileio._read_document, path)
+        assert result == outcome(read_document, path)
         if name not in NOT_JSON:
             spectrum = sample_spectrum()
             assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
@@ -647,7 +682,7 @@ class TestCanonicalReader:
                 path.write_bytes(text)
             else:
                 os.truncate(path, text)
-            expected = outcome(fileio._read_document, path)
+            expected = outcome(read_document, path)
             for chunk in (256, 700):
                 monkeypatch.setattr(fileio, "_CHUNK", chunk)
                 in_blocks.clear()
@@ -717,41 +752,145 @@ class TestCanonicalReader:
             f"{path}: not UTF-8 text: invalid start byte at byte offset {at}")
 
     def test_file_ending_before_its_size_read_as_document(self, tmp_path, monkeypatch):
+        # the file ends after 256 bytes once it is open, though fstat still gives its full size
         monkeypatch.setattr(fileio, "_CHUNK", 256)
         path = tmp_path / "spectrum.json"
         write_spectrum(path, random_spectrum(100))
-        expected = outcome(fileio._read_document, path)
-        opened = _open_binary_as(monkeypatch, lambda file: _CountedFile(file, keep=1))
+        cut = tmp_path / "cut.json"
+        cut.write_bytes(path.read_bytes()[:256])
+        expected = outcome(read_document, cut)
+        opened = _open_binary_as(monkeypatch, lambda file: _CountedFile(file, cut=256))
         assert outcome(read_spectrum, path) == expected
-        assert [file.reads for file in opened] == [2]  # the first chunk, then the end of the file
+        # the first chunk and the end of the file, then the document from the same handle
+        assert [(file.reads, file.bytes) for file in opened] == [(3, 512)]
 
-    def test_binary_open_failure_read_as_document(self, tmp_path, monkeypatch):
+    def test_refused_open_reported_once(self, tmp_path, monkeypatch):
         path = tmp_path / "spectrum.json"
         write_spectrum(path, sample_spectrum())
-        expected = outcome(fileio._read_document, path)
+        refused = []
 
         def refuse(file):
             file.close()
+            refused.append(file)
             raise PermissionError(13, "Permission denied")
         _open_binary_as(monkeypatch, refuse)
-        assert outcome(read_spectrum, path) == expected
+        assert outcome(read_spectrum, path) == (FileFormatError,
+                                                "cannot read file: Permission denied")
+        assert len(refused) == 1
+
+    @pytest.mark.parametrize("source", ["file", "fifo"])
+    @pytest.mark.parametrize("content", ["canonical", "departure", "fault"])
+    def test_input_opened_once(self, tmp_path, monkeypatch, source, content):
+        text = reference_spectrum_text(sample_spectrum())
+        data = {"canonical": text, "departure": json.dumps(json.loads(text)),
+                "fault": text[:-5]}[content].encode()
+        path = tmp_path / "spectrum.json"
+        path.write_bytes(data)
+        expected = outcome(read_document, path)
+        opens = []
+        real_open = Path.open
+
+        def open_(self, mode="r", *args, **kwargs):
+            opens.append(mode)
+            return real_open(self, mode, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", open_)
+        if source == "file":
+            assert outcome(read_spectrum, path) == expected
+        else:
+            assert through_fifo(tmp_path, data, lambda fifo: outcome(read_spectrum, fifo))[1] \
+                == expected
+        assert [mode for mode in opens if "w" not in mode] == ["rb"]
+
+    def test_fallback_reads_the_file_it_opened(self, tmp_path, monkeypatch):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, sample_spectrum())
+        other = tmp_path / "other.json"
+        write_spectrum(other, random_spectrum(8, seed=8, unit="V"))
+        read_canonical = fileio._read_canonical
+
+        def replace_then_depart(file):
+            assert read_canonical(file) is not None
+            os.replace(other, path)  # the name now holds another valid spectrum
+        monkeypatch.setattr(fileio, "_read_canonical", replace_then_depart)
         spectrum = sample_spectrum()
-        assert expected == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
+        assert outcome(read_spectrum, path) == (spectrum.grid, "mV",
+                                                spectrum.coefficients.tobytes())
 
     def test_pipe_read_once(self, tmp_path):
-        fifo = tmp_path / "spectrum.fifo"
-        os.mkfifo(fifo)
         text = reference_spectrum_text(sample_spectrum())
-        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
-        result = {}
-        reader = threading.Thread(
-            target=lambda: result.update(spectrum=read_spectrum(fifo)), daemon=True)
-        writer.start()
-        reader.start()
-        reader.join(timeout=20)
-        writer.join(timeout=20)
-        assert not reader.is_alive() and not writer.is_alive()
-        assert np.array_equal(result["spectrum"].coefficients, sample_spectrum().coefficients)
+        _, spectrum = through_fifo(tmp_path, text.encode(), read_spectrum)
+        assert np.array_equal(spectrum.coefficients, sample_spectrum().coefficients)
+
+    def _spooled_fifo(self, tmp_path, monkeypatch, data, call=None):
+        """(fifo, call(fifo), what each _read_canonical call returned), checking that the one
+        temporary copy is closed and leaves no file behind; call defaults to outcome's."""
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spool))
+        copies, in_blocks = [], []
+        make, read_canonical = tempfile.TemporaryFile, fileio._read_canonical
+        monkeypatch.setattr(fileio.tempfile, "TemporaryFile",
+                            lambda: copies.append(make()) or copies[-1])
+        monkeypatch.setattr(fileio, "_read_canonical",
+                            lambda file: in_blocks.append(read_canonical(file)) or in_blocks[-1])
+        fifo, result = through_fifo(
+            tmp_path, data, call or (lambda fifo: outcome(read_spectrum, fifo)))
+        assert [copy.closed for copy in copies] == [True]
+        assert list(spool.iterdir()) == []
+        return fifo, result, in_blocks
+
+    @pytest.mark.parametrize("chunk", [256, fileio._CHUNK])
+    def test_canonical_pipe_read_in_blocks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_CHUNK", chunk)
+        monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
+        spectrum = random_spectrum(100, seed=100, unit="mV")
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, spectrum)
+        _, result, in_blocks = self._spooled_fifo(tmp_path, monkeypatch, path.read_bytes())
+        assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
+        assert len(in_blocks) == 1 and in_blocks[0] is not None
+
+    def test_departing_pipe_read_as_document(self, tmp_path, monkeypatch):
+        spectrum = sample_spectrum()
+        data = json.dumps(json.loads(reference_spectrum_text(spectrum))).encode()
+        path = tmp_path / "spectrum.json"
+        path.write_bytes(data)
+        _, result, in_blocks = self._spooled_fifo(tmp_path, monkeypatch, data)
+        assert result == outcome(read_document, path)
+        assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
+        assert in_blocks == [None]
+
+    def test_cut_pipe_named_by_the_document_reader(self, tmp_path, monkeypatch):
+        path = tmp_path / "spectrum.json"
+        write_spectrum(path, sample_spectrum())
+        data = path.read_bytes()[:-5]
+        path.write_bytes(data)
+        kind, text = outcome(read_document, path)
+        assert kind is FileFormatError and text.startswith("not valid JSON: ")
+        fifo, result, in_blocks = self._spooled_fifo(tmp_path, monkeypatch, data, error_text)
+        assert result == f"{fifo}: {text}" and in_blocks == [None]
+
+    @pytest.mark.parametrize("fault", ["write", "create"])
+    def test_failed_copy_named(self, tmp_path, monkeypatch, capsys, fault):
+        """A pipe whose temporary copy cannot be written, or made, exits 2 naming the pipe."""
+        make = tempfile.TemporaryFile
+
+        class FullDisk(_CountedFile):
+            def write(self, data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if fault == "write":
+            monkeypatch.setattr(fileio.tempfile, "TemporaryFile", lambda: FullDisk(make()))
+            reason = os.strerror(errno.ENOSPC)
+        else:
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+            reason = os.strerror(errno.ENOENT)
+        out = tmp_path / "plot.csv"
+        data = reference_spectrum_text(sample_spectrum()).encode()
+        fifo, status = through_fifo(tmp_path, data, lambda fifo: cli.main(
+            ["spectrum-plotdata", str(fifo), "--out", str(out)]))
+        captured = capsys.readouterr()
+        assert status == 2 and not out.exists() and captured.out == ""
+        assert captured.err == f"error: {fifo}: cannot copy to a temporary file: {reason}\n"
 
     def test_read_in_bounded_memory(self, tmp_path):
         spectrum = random_spectrum(100_000)
@@ -803,7 +942,7 @@ def test_block_reader_agrees_with_document_reader(text, chunk):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spectrum.json"
             path.write_bytes(text)
-            assert outcome(read_spectrum, path) == outcome(fileio._read_document, path)
+            assert outcome(read_spectrum, path) == outcome(read_document, path)
     finally:
         fileio._CHUNK = saved
 
