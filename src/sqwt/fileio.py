@@ -20,6 +20,7 @@ check each stored frequency against the frequency law of `sqwt.waves`.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import os
@@ -50,8 +51,8 @@ _RECORD_SEP = ",\n"
 _TAIL = "\n  ]\n}\n"
 _RECORD_KEYS = ("i", "f_hz", "c")
 # ASCII characters that float() accepts inside a number (digit-group
-# underscores) or around it (whitespace other than spaces and tabs), or that
-# str.splitlines() splits a line at; no decimal line of a series file holds one
+# underscores) or around it (whitespace other than spaces and tabs); no
+# decimal line of a series file holds one
 _NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
@@ -100,29 +101,27 @@ def read_series_values(path) -> np.ndarray:
     or "\r"; only spaces and tabs may surround a value. The first line whose
     token is not a finite ASCII decimal number (no digit-group underscores)
     fails with its 1-based number; an empty file fails naming the file.
-    Text with a non-ASCII or _NOT_IN_SERIES character is cut at line ends
-    only, and each of its tokens is checked for them.
+    Every text is cut at "\n", "\r\n" and "\r" only, one line at a time;
+    in text with a non-ASCII or _NOT_IN_SERIES character, each line is
+    checked for them.
     """
     with _faults_named(path, "cannot read file"), Path(path).open("rb") as file:
         text = _read_text(file, path)
     clean = text.isascii() and not any(c in text for c in _NOT_IN_SERIES)
     values: list[float] = []
-    # the lines are held by the loop alone, so they are freed before the array is built
-    for lineno, raw in enumerate(
-        text.splitlines() if clean else re.split(r"\r\n?|\n", text), start=1
-    ):
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         try:
-            if not clean and (not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES)):
-                raise ValueError(raw)  # float() accepts some of these characters
-            value = float(raw)  # as float(token): the only blanks in raw are spaces and tabs
+            if not clean and (not line.isascii() or any(c in line for c in _NOT_IN_SERIES)):
+                raise ValueError(line)  # float() accepts some of these characters
+            value = float(line)  # as float(token): the only blanks are spaces, tabs and "\n"
         except ValueError:
-            token = raw.strip(" \t")
+            token = line.rstrip("\n").strip(" \t")
             if lineno == 1 and token.lower() == "value":
                 continue
             fault = f"not a decimal number: {token!r}" if token else "blank line in series file"
             raise FileFormatError(path, fault, lineno) from None
         if not math.isfinite(value):
-            token = raw.strip(" \t")
+            token = line.rstrip("\n").strip(" \t")
             raise FileFormatError(path, f"non-finite value not allowed: {token!r}", lineno)
         values.append(value)
     if not values:

@@ -23,9 +23,9 @@ def _check_unit(unit) -> None:
         raise ValueError(f"unit must be a string, got {unit!r}")
 
 
-def _check_fields(record, field: str, what: str) -> None:
+def _check_fields(record, field: str) -> None:
     """Store a record's `field` as a read-only finite copy on its grid; require a str unit."""
-    arr = _finite_vector(np.array(getattr(record, field), dtype=np.float64), record.grid.n, what)
+    arr = _finite_vector(np.array(getattr(record, field), dtype=np.float64), record.grid.n, field)
     _check_unit(record.unit)
     arr.setflags(write=False)
     object.__setattr__(record, field, arr)
@@ -40,7 +40,7 @@ class TimeSeries:
     unit: str = ""
 
     def __post_init__(self):
-        _check_fields(self, "values", "values")
+        _check_fields(self, "values")
 
     @property
     def n(self) -> int:
@@ -60,7 +60,7 @@ class Spectrum:
     unit: str = ""
 
     def __post_init__(self):
-        _check_fields(self, "coefficients", "coefficients")
+        _check_fields(self, "coefficients")
 
     @property
     def n(self) -> int:

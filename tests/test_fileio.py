@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import json
+import math
 import os
 import re
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, cli, fileio
+from sqwt import FileFormatError, GridSpec, Spectrum, _floattext, cli, fileio, generate
 from sqwt.fileio import (
     format_dyad_display,
     read_series_values,
@@ -110,8 +111,7 @@ class TestSeriesFiles:
     ])
     def test_non_decimal_characters_rejected(self, tmp_path, text, line, token):
         # float() accepts underscores, non-ASCII digits or spaces and ASCII
-        # whitespace such as \x1f, and str.splitlines() splits at \f, \v
-        # and \x1c-\x1e
+        # whitespace such as \x1f
         path = tmp_path / "series.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FileFormatError) as err:
@@ -906,6 +906,40 @@ class TestCanonicalReader:
         assert peak < 8e6, f"read_spectrum peaked at {peak / 1e6:.1f} MB"
 
 
+def test_series_read_in_bounded_memory(tmp_path):
+    """Lines are read one at a time: the peak is the text, StringIO's copy of it and the floats."""
+    path = tmp_path / "series.csv"
+    values = generate(7, GridSpec.from_sampling_rate(100_000, 1000.0)).series.values
+    write_series_values(path, values)
+    tracemalloc.start()
+    try:
+        loaded = read_series_values(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert loaded.tobytes() == values.tobytes()
+    assert peak < 10 * size, f"read_series_values peaked at {peak / size:.1f}x the file's size"
+
+
+def test_series_from_a_fifo_reads_as_from_the_file(tmp_path):
+    path = tmp_path / "series.csv"
+    data = "\ufeffvalue\r\n1.5\r\n-2\r\n0.25\r\n".encode()
+    path.write_bytes(data)
+    _, piped = through_fifo(tmp_path, data, read_series_values)
+    assert piped.tobytes() == read_series_values(path).tobytes()
+    assert piped.tolist() == [1.5, -2.0, 0.25]
+
+
+def test_series_fault_through_a_fifo_names_the_fifo_and_line(tmp_path):
+    def fault(fifo):
+        with pytest.raises(FileFormatError) as err:
+            read_series_values(fifo)
+        return str(err.value)
+    fifo, text = through_fifo(tmp_path, b"value\r\n1.5\r\nabc\r\n2\r\n", fault)
+    assert text == f"{fifo}:3: not a decimal number: 'abc'"
+
+
 _EDIT_BYTES = b'0123456789.-+eE ,"{}[]:\n\\'
 _TOKENS = re.compile(rb'(?<=: )-?[0-9][0-9.e+-]*')
 
@@ -945,6 +979,69 @@ def test_block_reader_agrees_with_document_reader(text, chunk):
             assert outcome(read_spectrum, path) == outcome(read_document, path)
     finally:
         fileio._CHUNK = saved
+
+
+# The series grammar as README states it: optional sign, ASCII digits with an
+# optional decimal point, optional exponent
+_SERIES_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def series_by_grammar(text):
+    """(value bytes, None, None) for a series text, or (None, fault, line) for its first bad
+    line, by the README grammar; one empty piece after a final line end is no line."""
+    pieces = re.split(r"\r\n?|\n", text.removeprefix("\ufeff"))
+    if pieces[-1] == "":
+        pieces.pop()
+    values = []
+    for lineno, piece in enumerate(pieces, start=1):
+        token = piece.strip(" \t")
+        if lineno == 1 and token.lower() == "value":
+            continue
+        if not token:
+            return None, "blank line in series file", lineno
+        if token.lower().lstrip("+-") not in ("nan", "inf", "infinity") and (
+                not _SERIES_DECIMAL.fullmatch(token)):
+            return None, f"not a decimal number: {token!r}", lineno
+        if not math.isfinite(float(token)):
+            return None, f"non-finite value not allowed: {token!r}", lineno
+        values.append(float(token))
+    if not values:
+        return None, "file contains no values", None
+    return np.array(values, dtype=np.float64).tobytes(), None, None
+
+
+@st.composite
+def series_text(draw):
+    """Series lines of valid and faulty tokens joined by mixed line ends, with an optional BOM
+    and an optional final line end."""
+    token = st.one_of(
+        st.from_regex(_SERIES_DECIMAL, fullmatch=True),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["value", "", "1_0", "2\x1c3", "1 ", "abc", "nan"]),
+    )
+    tokens = draw(st.lists(token, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    text = "".join(t + end for t, end in zip(tokens, ends))
+    if tokens and not draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return "\ufeff" * draw(st.booleans()) + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(series_text())
+def test_series_reader_agrees_with_grammar(text):
+    values, fault, line = series_by_grammar(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if fault is None:
+            assert read_series_values(path).tobytes() == values
+        else:
+            with pytest.raises(FileFormatError) as err:
+                read_series_values(path)
+            where = path if line is None else f"{path}:{line}"
+            assert (str(err.value), err.value.line) == (f"{where}: {fault}", line)
 
 
 class TestPlotData:
