@@ -1,4 +1,4 @@
-"""Text of float64 arrays, byte for byte as Python's `repr` writes each value.
+"""ASCII bytes of float64 arrays, byte for byte as Python's `repr` writes each value.
 
 The shortest round-trip digits come from Schubfach (R. Giulietti, "The
 Schubfach way to render doubles", 2020), run on whole blocks of values in
@@ -170,7 +170,7 @@ def _layout(x, chars) -> None:
 
 
 def repr_rows(columns):
-    """Yield the text of each row of the float64 columns, block by block.
+    """Yield the ASCII bytes of the rows of the float64 columns, block by block.
 
     Each row is `repr(float(v))` of its values joined by ',' and ends with
     '\\n'. A block holds at most _BLOCK values.
@@ -186,4 +186,4 @@ def repr_rows(columns):
         _layout(np.concatenate(block), c)
         c[_SEP, size - len(block[0]) :] = ord("\n")
         # slot-major (slot, column, row) to row-major text, less the slots not shown
-        yield c.reshape(_WIDTH, width, -1).T.tobytes().translate(None, b"\0").decode("ascii")
+        yield c.reshape(_WIDTH, width, -1).T.tobytes().translate(None, b"\0")

@@ -3,9 +3,10 @@
 A series file is one decimal value per line with an optional `value`
 header. A spectrum file is a JSON document holding the grid metadata and
 per-dyad records; numbers are stored at full precision (shortest
-round-trip decimal form) next to a six-decimal display string. The series,
-spectrum and plot-data writers all take that float text from
-`_floattext.repr_rows`, in blocks of at most 8,192 values.
+round-trip decimal form) next to a six-decimal display string. Every file
+is written as bytes, ASCII with "\n" line ends on every platform, each float
+as `_floattext.repr_rows` gives it in blocks of at most 8,192 values. A
+series is parsed from its bytes, one line at a time.
 
 `write_spectrum` and the block reader, `_read_canonical`, both take the
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
@@ -19,6 +20,7 @@ check each stored frequency against the frequency law of `sqwt.waves`.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import json
@@ -38,18 +40,17 @@ from .waves import GridSpec, _as_float, _finite_vector, _train_frequencies
 _FREQ_SANITY_REL_TOL = 1e-6
 # six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
 # needs no JSON escaping
-_DISPLAY = "(%.6f; %.6f)"
+_DISPLAY = b"(%.6f; %.6f)"
 _DISPLAY_CHARS = b"-0123456789.; ()"
 # json.dumps(doc, indent=2) + "\n" of a spectrum: a header ending in
 # _HEAD_END, dyad records joined by _RECORD_SEP, then _TAIL
 _DYAD_RECORD = (
-    '    {\n      "i": %d,\n      "f_hz": %s,\n      "c": %s,\n'
-    f'      "display": "{_DISPLAY}"\n    }}'
+    b'    {\n      "i": %d,\n      "f_hz": %s,\n      "c": %s,\n'
+    b'      "display": "' + _DISPLAY + b'"\n    }'
 )
-_HEAD_END = '\n  "dyads": [\n'
-_RECORD_SEP = ",\n"
-_TAIL = "\n  ]\n}\n"
-_RECORD_KEYS = ("i", "f_hz", "c")
+_HEAD_END = b'\n  "dyads": [\n'
+_RECORD_SEP = b",\n"
+_TAIL = b"\n  ]\n}\n"
 # ASCII characters that float() accepts inside a number (digit-group
 # underscores) or around it (whitespace other than spaces and tabs); no
 # decimal line of a series file holds one
@@ -66,8 +67,8 @@ def _faults_named(path, what: str):
 
 
 def _write_text(path, pieces) -> None:
-    """Write an iterable of strings to a file, as each one comes; an OSError names the file."""
-    with _faults_named(path, "cannot write file"), Path(path).open("w", encoding="utf-8") as out:
+    """Write an iterable of bytes to a file, as each one comes; an OSError names the file."""
+    with _faults_named(path, "cannot write file"), Path(path).open("wb") as out:
         out.writelines(pieces)
 
 
@@ -84,11 +85,11 @@ def _number_fault(v, what: str, positive: bool = False) -> str | None:
     return f"{what} must be {kind}, got {v!r}"
 
 
-def _read_text(file, name) -> str:
-    """The text of an open binary input file without a leading byte-order mark; FileFormatError
-    names a file that is not UTF-8, giving the bad byte's offset from the file's start."""
+def _decoded(data: bytes, name) -> str:
+    """The text of an input file's bytes, less a leading byte-order mark; FileFormatError names
+    a file that is not UTF-8, giving the bad byte's offset from the file's start."""
     try:
-        return file.read().decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         fault = f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
         raise FileFormatError(name, fault) from None
@@ -101,27 +102,31 @@ def read_series_values(path) -> np.ndarray:
     or "\r"; only spaces and tabs may surround a value. The first line whose
     token is not a finite ASCII decimal number (no digit-group underscores)
     fails with its 1-based number; an empty file fails naming the file.
-    Every text is cut at "\n", "\r\n" and "\r" only, one line at a time;
-    in text with a non-ASCII or _NOT_IN_SERIES character, each line is
-    checked for them.
+    Only non-ASCII bytes are decoded whole, to check them as UTF-8. After a
+    byte-order mark, float() parses each line's bytes; where a byte is not
+    ASCII or is in _NOT_IN_SERIES, each line is decoded and checked for them.
     """
     with _faults_named(path, "cannot read file"), Path(path).open("rb") as file:
-        text = _read_text(file, path)
-    clean = text.isascii() and not any(c in text for c in _NOT_IN_SERIES)
+        data = file.read()
+    if not data.isascii():
+        _decoded(data, path)  # refuses bytes that are not UTF-8
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    clean = data.isascii() and not any(ord(c) in data for c in _NOT_IN_SERIES)
     values: list[float] = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        line = raw if clean else raw.decode("utf-8")
         try:
             if not clean and (not line.isascii() or any(c in line for c in _NOT_IN_SERIES)):
                 raise ValueError(line)  # float() accepts some of these characters
             value = float(line)  # as float(token): the only blanks are spaces, tabs and "\n"
         except ValueError:
-            token = line.rstrip("\n").strip(" \t")
+            token = raw.decode("utf-8").rstrip("\n").strip(" \t")
             if lineno == 1 and token.lower() == "value":
                 continue
             fault = f"not a decimal number: {token!r}" if token else "blank line in series file"
             raise FileFormatError(path, fault, lineno) from None
         if not math.isfinite(value):
-            token = line.rstrip("\n").strip(" \t")
+            token = raw.decode("utf-8").rstrip("\n").strip(" \t")
             raise FileFormatError(path, f"non-finite value not allowed: {token!r}", lineno)
         values.append(value)
     if not values:
@@ -137,24 +142,20 @@ def write_series_values(path, values) -> None:
 
 def format_dyad_display(frequency: float, coefficient: float) -> str:
     """Six-decimal display form of one dyad, e.g. '(0.250000; 170.500000)'."""
-    return _DISPLAY % (frequency, coefficient)
+    return (_DISPLAY % (frequency, coefficient)).decode("ascii")
 
 
 def _spectrum_text(spectrum: Spectrum):
     """Yield the header, the dyad records block by block as repr_rows cuts them, then the tail."""
     grid = spectrum.grid
-    yield "{" + "".join(
-        f'\n  "{key}": {json.dumps(value)},'
-        for key, value in (
-            ("n", grid.n), ("delta_t_s", grid.delta_t), ("f_s_hz", grid.f_s),
-            ("unit", spectrum.unit),
-        )
-    ) + _HEAD_END
+    head = {"n": grid.n, "delta_t_s": grid.delta_t, "f_s_hz": grid.f_s, "unit": spectrum.unit}
+    # the header fields as json.dumps(doc, indent=2) writes them, then the dyads key
+    yield json.dumps(head, indent=2).removesuffix("\n}").encode() + b"," + _HEAD_END
     freqs = spectrum.frequencies
     coeffs = spectrum.coefficients
-    lead, done = "", 0
+    lead, done = b"", 0
     for rows in repr_rows([freqs, coeffs]):
-        texts = rows.replace("\n", ",").split(",")  # f_hz, c, f_hz, c, ..., ""
+        texts = rows.replace(b"\n", b",").split(b",")  # f_hz, c, f_hz, c, ..., b""
         end = done + len(texts) // 2
         records = zip(range(done + 1, end + 1), texts[0::2], texts[1::2],
                       freqs[done:end].tolist(), coeffs[done:end].tolist())
@@ -199,7 +200,7 @@ def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
     """The message for the first check that record `pos` (0-based) fails; None if it passes."""
     if not isinstance(rec, dict):
         return f"dyad record {pos + 1} must be an object"
-    for key in _RECORD_KEYS:
+    for key in ("i", "f_hz", "c"):
         if key not in rec:
             return f"dyad record {pos + 1} missing field {key!r}"
     i = rec["i"]
@@ -219,7 +220,7 @@ def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
 def _read_document(file, p: str) -> Spectrum:
     """Parse and check an open spectrum file with one json.loads, naming the first fault."""
     try:
-        doc = json.loads(_read_text(file, p))  # the text is freed once it is parsed
+        doc = json.loads(_decoded(file.read(), p))  # the text is freed once it is parsed
     except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise FileFormatError(p, f"not valid JSON: {exc}") from None
     grid = _grid(doc, p)
@@ -238,9 +239,8 @@ _CHUNK = 1 << 18
 # _DYAD_RECORD + _RECORD_SEP cut at its fields; as a pattern, the fixed text is
 # escaped, the i, f_hz and c tokens are groups, the display a run of _DISPLAY_CHARS
 _FIELDS = {b"%d": rb"([0-9]+)", b"%s": rb"([-+.0-9eE]+)",
-           _DISPLAY.encode(): b"[" + re.escape(_DISPLAY_CHARS) + b"]*"}
-_PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)),
-                   (_DYAD_RECORD + _RECORD_SEP).encode())
+           _DISPLAY: b"[" + re.escape(_DISPLAY_CHARS) + b"]*"}
+_PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)), _DYAD_RECORD + _RECORD_SEP)
 _RECORD = re.compile(b"".join(_FIELDS.get(piece) or re.escape(piece) for piece in _PIECES))
 
 
@@ -284,7 +284,7 @@ def _read_canonical(file) -> Spectrum | None:
     """
     size = os.fstat(file.fileno()).st_size
     head = file.read(_CHUNK)
-    pos = head.find(_HEAD_END.encode()) + len(_HEAD_END)
+    pos = head.find(_HEAD_END) + len(_HEAD_END)
     if pos < len(_HEAD_END):
         return None
     try:
@@ -300,9 +300,9 @@ def _read_canonical(file) -> Spectrum | None:
     carry, chunk, done, more = b"", head[pos:] or file.read(_CHUNK), 0, True
     while more:
         if not chunk:  # the end of the file: the last record then ends like the others
-            if not carry.endswith(_TAIL.encode()):
+            if not carry.endswith(_TAIL):
                 return None
-            carry, chunk, more = carry[: -len(_TAIL)], _RECORD_SEP.encode(), False
+            carry, chunk, more = carry[: -len(_TAIL)], _RECORD_SEP, False
         block = _block(carry + chunk, done, grid)
         if block is None:
             return None
@@ -359,4 +359,4 @@ def write_report(path, report: ReconstructionReport) -> None:
         "index_of_max": report.index_of_max,
         "rms_error": report.rms_error,
     }
-    _write_text(path, [json.dumps(doc, indent=2, allow_nan=False) + "\n"])
+    _write_text(path, [(json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()])

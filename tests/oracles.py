@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -196,3 +197,10 @@ def next_value(stream) -> float:
     if d[0] <= 4 and scaled:
         return -value
     return value
+
+
+def golden_10000() -> dict[str, str]:
+    """sha256 of each output of the paper's pipeline on `sqwt generate --seed 42 --n 10000
+    --fs 2000`, by file name, from golden_10000.sha256 (as `sha256sum -c` reads it)."""
+    lines = Path(__file__).with_name("golden_10000.sha256").read_text().splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from sqwt.cli import main
 from sqwt.fileio import read_series_values, read_spectrum, write_series_values, write_spectrum
 from sqwt import GridSpec, Spectrum
+
+from oracles import golden_10000
 
 PAPER_VALUES = [84.0, -152.0, 63.0, 98.0, -35.0, 0.0, 145.0, -14.0]
 
@@ -306,6 +310,43 @@ class TestEndToEnd:
         original = read_series_values(series_path)
         back = read_series_values(back_path)
         assert np.max(np.abs(original - back)) <= 1e-9
+
+    @staticmethod
+    def paper_pipeline(d: Path) -> None:
+        """The paper's file pipeline on its 10,000-value series, in directory d."""
+        for args in (
+            ["generate", "--seed", "42", "--n", "10000", "--fs", "2000", "--out", d / "series.csv"],
+            ["analyze", d / "series.csv", "--fs", "2000", "--out", d / "spectrum.json",
+             "--report", d / "report.json"],
+            ["reconstruct", d / "spectrum.json", "--out", d / "rebuilt.csv"],
+            ["spectrum-plotdata", d / "spectrum.json", "--out", d / "plotdata.csv"],
+        ):
+            assert main([str(arg) for arg in args]) == 0
+
+    def test_paper_pipeline_bytes_pinned(self, tmp_path):
+        # correctly rounded coefficients and products fix these bytes on every platform
+        self.paper_pipeline(tmp_path)
+        golden = golden_10000()
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in golden} == golden
+        # rms_error goes through numpy's pairwise mean, so the report's bytes are not pinned
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["max_abs_error"] == 1.000444171950221e-11
+        assert report["index_of_max"] == 8161
+
+    def test_every_output_opened_binary(self, tmp_path, monkeypatch):
+        # a file opened in text mode would write os.linesep for each "\n" it is given
+        opened = []
+        path_open = Path.open
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            opened.append((path.name, mode))
+            return path_open(path, mode, *args, **kwargs)
+        monkeypatch.setattr(Path, "open", recording_open)
+        self.paper_pipeline(tmp_path)
+        assert [name for name, mode in opened if "r" not in mode] == [
+            "series.csv", "report.json", "spectrum.json", "rebuilt.csv", "plotdata.csv"]
+        assert all("b" in mode for _, mode in opened), opened
 
     @pytest.mark.parametrize("command", ["analyze", "reconstruct", "generate", "spectrum-plotdata"])
     def test_threads_flag_refused(self, tmp_path, paper_file, command):

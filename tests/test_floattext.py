@@ -13,7 +13,7 @@ from sqwt._floattext import repr_rows
 
 
 def formatted(values) -> list[str]:
-    return "".join(repr_rows([np.asarray(values, dtype=np.float64)])).split("\n")[:-1]
+    return b"".join(repr_rows([np.asarray(values, dtype=np.float64)])).decode().split("\n")[:-1]
 
 
 def assert_matches_repr(values):
@@ -100,9 +100,9 @@ class TestRows:
         a = rng.uniform(-1e3, 1e3, n)
         b = rng.uniform(-1e-3, 1e-3, n)
         a[n // 2] = -0.0  # a value formatted by repr itself, in a later block
-        assert "".join(repr_rows([a])) == "".join(f"{v!r}\n" for v in a.tolist())
-        assert "".join(repr_rows([a, b])) == "".join(
-            f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist()))
+        assert b"".join(repr_rows([a])) == "".join(f"{v!r}\n" for v in a.tolist()).encode()
+        assert b"".join(repr_rows([a, b])) == "".join(
+            f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())).encode()
 
     @pytest.mark.parametrize("block", [2, 4, 6])
     def test_block_of_rare_values_only(self, monkeypatch, block):
@@ -114,12 +114,12 @@ class TestRows:
         rows = [f"{x!r},{y!r}\n" for x, y in zip(a.tolist(), b.tolist())]
         per_block = block // 2
         assert list(repr_rows([a, b])) == [
-            "".join(rows[i : i + per_block]) for i in range(0, len(rows), per_block)]
+            "".join(rows[i : i + per_block]).encode() for i in range(0, len(rows), per_block)]
 
     def test_blocks_hold_at_most_block_values(self, monkeypatch):
         monkeypatch.setattr(_floattext, "_BLOCK", 4)
         blocks = list(repr_rows([np.ones(5), np.ones(5)]))
-        assert blocks == ["1.0,1.0\n" * 2] * 2 + ["1.0,1.0\n"]
+        assert blocks == [b"1.0,1.0\n" * 2] * 2 + [b"1.0,1.0\n"]
 
     def test_empty_columns(self):
         assert list(repr_rows([np.empty(0)])) == []

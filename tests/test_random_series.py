@@ -11,11 +11,7 @@ from sqwt import GridSpec, generate, train_frequency
 from sqwt import random_series
 from sqwt.random_series import DigitStream
 
-from oracles import GAMMA, MASK64, REJECT_ABOVE, ScalarDigitStream, mix64, next_value
-
-# sha256 of `sqwt generate --seed 42 --n 10000 --fs 2000`, as written by the
-# scalar generator that drew one digit per next_digit call
-GENERATE_42_10000_SHA256 = "d3ed549dfbaae68296b5d844428e4f6a06c8f210b2146a26c358fcd1e43182a9"
+from oracles import GAMMA, MASK64, REJECT_ABOVE, ScalarDigitStream, golden_10000, mix64, next_value
 
 
 def _unshift(y, shift):
@@ -241,4 +237,5 @@ class TestVectorisedGenerate:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_42_10000_SHA256
+        # as written by the scalar generator that drew one digit per next_digit call
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden_10000()["series.csv"]
