@@ -54,7 +54,7 @@ _TAIL = b"\n  ]\n}\n"
 # ASCII characters that float() accepts inside a number (digit-group
 # underscores) or around it (whitespace other than spaces and tabs); no
 # decimal line of a series file holds one
-_NOT_IN_SERIES = ("_", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f")
+_NOT_IN_SERIES = b"_\v\f\x1c\x1d\x1e\x1f"
 
 
 @contextlib.contextmanager
@@ -104,21 +104,21 @@ def read_series_values(path) -> np.ndarray:
     fails with its 1-based number; an empty file fails naming the file.
     Only non-ASCII bytes are decoded whole, to check them as UTF-8. After a
     byte-order mark, float() parses each line's bytes; where a byte is not
-    ASCII or is in _NOT_IN_SERIES, each line is decoded and checked for them.
+    ASCII or is in _NOT_IN_SERIES, each line's bytes are checked for them
+    first. A line is decoded only to name it in a fault.
     """
     with _faults_named(path, "cannot read file"), Path(path).open("rb") as file:
         data = file.read()
     if not data.isascii():
         _decoded(data, path)  # refuses bytes that are not UTF-8
     data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    clean = data.isascii() and not any(ord(c) in data for c in _NOT_IN_SERIES)
+    clean = data.isascii() and not any(c in data for c in _NOT_IN_SERIES)
     values: list[float] = []
     for lineno, raw in enumerate(io.BytesIO(data), start=1):
-        line = raw if clean else raw.decode("utf-8")
         try:
-            if not clean and (not line.isascii() or any(c in line for c in _NOT_IN_SERIES)):
-                raise ValueError(line)  # float() accepts some of these characters
-            value = float(line)  # as float(token): the only blanks are spaces, tabs and "\n"
+            if not clean and (not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES)):
+                raise ValueError(raw)  # float() accepts some of these characters
+            value = float(raw)  # as float(token): the only blanks are spaces, tabs and "\n"
         except ValueError:
             token = raw.decode("utf-8").rstrip("\n").strip(" \t")
             if lineno == 1 and token.lower() == "value":

@@ -141,13 +141,11 @@ class TestSeriesFiles:
         path.write_bytes(text.encode("utf-8"))
         assert np.array_equal(read_series_values(path), [1.5, -2.0])
 
-    # a reader that takes its input in chunks, such as io.TextIOWrapper's 8 KiB, can cut a
-    # line or a "\r\n" between two of them
-    @pytest.mark.parametrize("at", range(8186, 8199))
-    def test_crlf_around_the_8_kib_mark(self, tmp_path, at):
+    def test_crlf_across_the_8_kib_mark(self, tmp_path):
+        # a parser that reads its input in chunks could split a "\r\n" between two of them
         path = tmp_path / "series.csv"
         values = b"".join(b"%d.5\r\n" % k for k in range(2000))
-        path.write_bytes(b" " * (at - 1) + b"1\r\n" + values)  # the first "\r" at byte `at`
+        path.write_bytes(b" " * 8190 + b"1\r\n" + values)  # "\r" is byte 8192, "\n" byte 8193
         assert read_series_values(path).tolist() == [1.0] + [k + 0.5 for k in range(2000)]
 
     @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
