@@ -14,8 +14,10 @@ reader reads a canonical file once, front to back, and matches records with
 one pattern built from the record template; the file's size only bounds n.
 A pipe is first copied to a temporary file; a file that departs from the
 layout is read again, from the same open file, as one JSON document, held
-whole in memory. Both readers leave the header's `n` rule to GridSpec and
-check each stored frequency against the frequency law of `sqwt.waves`.
+whole in memory. Both readers leave the header's `n` rule to GridSpec, take
+the rule for a valid real number (the header's delta_t_s and f_s_hz, each
+record's f_hz and c) from `sqwt.waves`, and check each stored frequency
+against the frequency law of `sqwt.waves`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from ._floattext import repr_rows
 from .errors import FileFormatError
 from .transform import ReconstructionReport, Spectrum, _check_unit
-from .waves import GridSpec, _as_float, _finite_vector, _train_frequencies
+from .waves import GridSpec, _finite_real, _finite_vector, _is_integer, _train_frequencies
 
 _FREQ_SANITY_REL_TOL = 1e-6
 # six-decimal display form of a dyad; holds only _DISPLAY_CHARS, so it
@@ -70,19 +72,6 @@ def _write_text(path, pieces) -> None:
     """Write an iterable of bytes to a file, as each one comes; an OSError names the file."""
     with _faults_named(path, "cannot write file"), Path(path).open("wb") as out:
         out.writelines(pieces)
-
-
-def _number_fault(v, what: str, positive: bool = False) -> str | None:
-    """Why v is not a finite (and, if asked, positive) JSON number; None when it is one."""
-    kind = "a positive finite number" if positive else "a finite number"
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        try:
-            x = _as_float(v, f"{what} must be {kind}")
-        except ValueError as exc:  # an int past the float range
-            return str(exc)
-        if math.isfinite(x) and (x > 0 or not positive):
-            return None
-    return f"{what} must be {kind}, got {v!r}"
 
 
 def _decoded(data: bytes, name) -> str:
@@ -186,13 +175,12 @@ def _grid(doc, p: str) -> GridSpec:
     _require(isinstance(doc, dict), p, "top level must be a JSON object")
     for key in ("n", "delta_t_s", "f_s_hz", "unit", "dyads"):
         _require(key in doc, p, f"missing required field {key!r}")
-    for key in ("delta_t_s", "f_s_hz"):
-        fault = _number_fault(doc[key], key, positive=True)
-        _require(fault is None, p, fault)
     try:
+        delta_t, f_s = (_finite_real(doc[key], f"{key} must be a positive finite number",
+                                     positive=True) for key in ("delta_t_s", "f_s_hz"))
         _check_unit(doc["unit"])
-        return GridSpec(doc["n"], float(doc["delta_t_s"]), float(doc["f_s_hz"]))
-    except ValueError as exc:  # the unit rule, then GridSpec's n rule and consistency check
+        return GridSpec(doc["n"], delta_t, f_s)
+    except ValueError as exc:  # the number and unit rules, then GridSpec's n rule and consistency
         raise FileFormatError(p, str(exc)) from None
 
 
@@ -204,13 +192,13 @@ def _record_fault(pos: int, rec, n: int, f_expected: float) -> str | None:
         if key not in rec:
             return f"dyad record {pos + 1} missing field {key!r}"
     i = rec["i"]
-    if not (isinstance(i, int) and not isinstance(i, bool) and i == pos + 1):
+    if not (_is_integer(i) and i == pos + 1):
         return f"dyad indices must ascend 1..{n}; record {pos + 1} has i={i!r}"
-    for key in ("f_hz", "c"):
-        fault = _number_fault(rec[key], f"dyad {i}: {key}")
-        if fault is not None:
-            return fault
-    f = float(rec["f_hz"])
+    try:
+        f = _finite_real(rec["f_hz"], f"dyad {i}: f_hz must be a finite number")
+        _finite_real(rec["c"], f"dyad {i}: c must be a finite number")
+    except ValueError as exc:
+        return str(exc)
     if not abs(f - f_expected) <= _FREQ_SANITY_REL_TOL * f_expected:
         return (f"dyad {i}: frequency {f!r} does not match the grid "
                 f"(expected {f_expected!r})")

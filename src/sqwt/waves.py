@@ -35,8 +35,9 @@ class GridSpec:
     def __post_init__(self):
         # plain Python numbers, as json and repr expect, whatever the caller passed
         object.__setattr__(self, "n", _check_size(self.n))
-        object.__setattr__(self, "delta_t", _check_positive("delta_t", self.delta_t))
-        object.__setattr__(self, "f_s", _check_positive("f_s", self.f_s))
+        for name in ("delta_t", "f_s"):
+            rule = f"{name} must be a positive real"
+            object.__setattr__(self, name, _finite_real(getattr(self, name), rule, positive=True))
         if abs(self.f_s * self.delta_t - self.n) > _GRID_REL_TOL * self.n:
             raise ValueError(
                 f"inconsistent grid: f_s * delta_t = {self.f_s * self.delta_t!r} "
@@ -88,17 +89,21 @@ def _as_float(value, rule: str) -> float:
         raise ValueError(f"{rule}, got a {kind} of {digits} integer digits") from None
 
 
-def _check_positive(name: str, value: float) -> float:
-    rule = f"{name} must be a positive real"
-    x = _as_float(value, rule) if isinstance(value, numbers.Real) else math.nan
-    if isinstance(value, bool) or not (math.isfinite(x) and x > 0):
-        raise ValueError(f"{rule}, got {_shown(value)}")
-    return x
+def _finite_real(value, rule: str, positive: bool = False) -> float:
+    """float(value) for a finite (and, if asked, positive) real that is not a bool;
+    anything else fails `rule`: ValueError `<rule>, got <value>`."""
+    # int and float first: numbers.Real alone is a slow ABC check on every dyad record
+    if isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool):
+        x = _as_float(value, rule)
+        if math.isfinite(x) and (x > 0 or not positive):
+            return x
+    raise ValueError(f"{rule}, got {_shown(value)}")
 
 
 def _quotient(n: int, name: str, value: float) -> float:
     """n / value, the grid field derived from the caller's `name`, after checking both."""
-    quotient = _check_size(n) / _check_positive(name, value)
+    rule = f"{name} must be a positive real"
+    quotient = _check_size(n) / _finite_real(value, rule, positive=True)
     if math.isinf(quotient):
         raise ValueError(
             f"{name} = {_shown(value)} is too small for n = {n}: n / {name} overflows"

@@ -139,6 +139,21 @@ class TestAnalyze:
             "error: delta_t = 1e-320 is too small for n = 8: n / delta_t overflows\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("analyze", ["--fs", "0"], "f_s must be a positive real, got 0.0"),
+        ("analyze", ["--fs", "nan"], "f_s must be a positive real, got nan"),
+        ("analyze", ["--fs", "inf"], "f_s must be a positive real, got inf"),
+        ("analyze", ["--delta-t", "-1"], "delta_t must be a positive real, got -1.0"),
+        ("generate", ["--seed", "1", "--n", "10", "--fs", "1e-320"],
+         "f_s = 1e-320 is too small for n = 10: n / f_s overflows"),
+    ])
+    def test_bad_grid_flag_exit_2(self, tmp_path, paper_file, command, flags, message):
+        inputs = [str(paper_file)] if command == "analyze" else []
+        out = tmp_path / "out"
+        result = run_cli(command, *inputs, *flags, "--out", str(out))
+        assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
+        assert not out.exists()
+
     def test_above_former_dense_cap_exit_0(self, tmp_path):
         # n = 20,000 was refused with exit 4; the removed SQWT_MAX_N_DENSE
         # variable is set to show that it is ignored

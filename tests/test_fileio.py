@@ -251,6 +251,16 @@ class TestSpectrumFiles:
             read_spectrum(path)
         assert str(err.value) == f"{path}: n must be a positive integer, got {shown}"
 
+    @pytest.mark.parametrize("key", ["delta_t_s", "f_s_hz"])
+    @pytest.mark.parametrize("value,shown", [
+        (0, "0"), (-1.5, "-1.5"), ("2", "'2'"), (True, "True"), (None, "None"),
+        (math.nan, "nan"), (math.inf, "inf"), ([], "[]")])
+    def test_bad_grid_number_rejected(self, tmp_path, key, value, shown):
+        path = self._mutated(tmp_path, lambda d: d.update({key: value}))
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(path)
+        assert str(err.value) == f"{path}: {key} must be a positive finite number, got {shown}"
+
     def test_bad_unit_named_before_bad_n(self, tmp_path):
         path = self._mutated(tmp_path, lambda d: d.update(n=0, unit=None))
         with pytest.raises(FileFormatError) as err:
