@@ -1,7 +1,14 @@
 """Command-line surface: analyze, reconstruct, generate, spectrum-plotdata.
 
-sqwt makes no BLAS call, so when neither OPENBLAS_NUM_THREADS nor
-OMP_NUM_THREADS is set, a CLI process sets both to 1 before numpy starts.
+A process entry (`main()` with no argv: `python -m sqwt` or the `sqwt`
+script) acts before any command imports numpy. sqwt makes no BLAS call, so
+when neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is set, it sets both
+to 1. It turns the cyclic garbage collector off, and freezes the heap once
+the command has its exit code, so that no collection, the interpreter's
+shutdown passes included, walks numpy's objects. atexit handlers, stream
+flushes and module teardown still run. `main(argv)` called in-process
+leaves the environment and the collector as it found them. generate and
+spectrum-plotdata never load the solver.
 Exit codes: 0 success, 2 bad flags, unparsable input, an output or a
 stdout that cannot be written, or values whose transform overflows float64.
 """
@@ -9,6 +16,7 @@ stdout that cannot be written, or values whose transform overflows float64.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -132,10 +140,22 @@ def _cmd_spectrum_plotdata(args) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if argv is None and not _BLAS_THREAD_VARS & os.environ.keys():
-        # a process entry, before any command imports numpy: an idle BLAS
-        # thread pool only costs start-up time
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    if argv is None:  # a process entry, before any command imports numpy
+        if not _BLAS_THREAD_VARS & os.environ.keys():
+            # an idle BLAS thread pool only costs start-up time
+            os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        # the process ends with the command, whose cyclic garbage does not
+        # grow with its input: a collection, during the run or in the
+        # shutdown passes (which skip a frozen heap), walks numpy's live objects
+        gc.disable()
+        try:
+            return _run(argv)
+        finally:
+            gc.freeze()
+    return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -543,3 +544,78 @@ class TestStartup:
         assert main(["generate", "--seed", "1", "--n", "3", "--fs", "1",
                      "--out", str(tmp_path / "g.csv")]) == 0
         assert dict(os.environ) == before
+
+
+def pipeline_argvs(d: Path, n: int) -> dict[str, list[str]]:
+    """The argv of each command, one pipeline of n generated values in directory d."""
+    series, spectrum = str(d / f"s{n}.csv"), str(d / f"sp{n}.json")
+    return {
+        "generate": ["generate", "--seed", "3", "--n", str(n), "--fs", "2", "--out", series],
+        "analyze": ["analyze", series, "--fs", "2", "--out", spectrum,
+                    "--report", str(d / f"r{n}.json")],
+        "reconstruct": ["reconstruct", spectrum, "--out", str(d / f"b{n}.csv")],
+        "spectrum-plotdata": ["spectrum-plotdata", spectrum, "--out", str(d / f"p{n}.csv")],
+    }
+
+
+class TestProcessEntry:
+    """A process entry runs with the collector off and freezes the heap before it exits.
+
+    That is safe because the cyclic garbage a command leaves does not grow
+    with the input; `main(argv)` in-process leaves the collector alone.
+    """
+
+    @staticmethod
+    def garbage_after(argv) -> int:
+        """Cyclic objects one in-process command leaves, counted with the collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_cyclic_garbage_does_not_grow_with_n(self, tmp_path, capsys):
+        for argv in pipeline_argvs(tmp_path, 10).values():  # first imports
+            assert main(argv) == 0
+        small, large = ({name: self.garbage_after(argv)
+                         for name, argv in pipeline_argvs(tmp_path, n).items()}
+                        for n in (100, 20_000))
+        assert small == large
+        assert max(small.values()) < 1_000
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path, capsys, enabled):
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in pipeline_argvs(tmp_path, 50).values():
+                assert main(argv) == 0
+                assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == frozen
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def child(argv) -> str:
+        """stdout of a process entry that runs `argv` and then prints its state."""
+        code = ("import gc, sys; from sqwt.cli import main; "
+                f"sys.argv = ['sqwt', *{argv!r}]; code = main(); "
+                "print(code, 'numpy' in sys.modules, 'sqwt.linsolve' in sys.modules, "
+                "gc.isenabled(), gc.get_freeze_count() > 0)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["generate", "spectrum-plotdata"])
+    def test_child_that_does_not_solve_loads_no_solver(self, tmp_path, command):
+        argvs = pipeline_argvs(tmp_path, 30)
+        write_spectrum(tmp_path / "sp30.json",
+                       Spectrum(GridSpec.from_sampling_rate(30, 2.0), np.arange(30.0)))
+        assert self.child(argvs[command]) == "0 True False False True"
+
+    def test_child_runs_with_the_collector_off_and_a_frozen_heap(self, tmp_path):
+        argvs = pipeline_argvs(tmp_path, 30)
+        write_series_values(tmp_path / "s30.csv", np.linspace(-1.0, 1.0, 30))
+        assert self.child(argvs["analyze"]) == "0 True True False True"

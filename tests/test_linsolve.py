@@ -305,3 +305,61 @@ class TestCorrectlyRoundedAt100k:
         rebuilt = apply_sign_matrix(SignPattern(100_000), x)
         bound = np.sum(np.spacing(np.abs(x))) / 2 + np.spacing(np.abs(rebuilt)) / 2
         assert np.all(np.abs(rebuilt - rhs) <= bound)
+
+
+def wide_family(family, n):
+    """A series of wide dynamic range, drawn with seed 1."""
+    rng = np.random.default_rng(1)
+    if family.startswith("lognormal"):  # signed lognormal(0, sigma)
+        sigma = float(family.removeprefix("lognormal"))
+        return rng.lognormal(0.0, sigma, n) * rng.choice([-1.0, 1.0], n)
+    if family == "two_scales":  # half U(-1, 1) * 1e12, half U(-1, 1) * 1e-12, shuffled
+        scales = rng.permutation(np.repeat([1e12, 1e-12], [n - n // 2, n // 2]))
+        return rng.uniform(-1.0, 1.0, n) * scales
+    values = rng.uniform(-1.0, 1.0, n)  # "spikes": 1e15 added at 5% of the samples
+    values[rng.choice(n, n // 20, replace=False)] += 1e15
+    return values
+
+
+WIDE_FAMILIES = ["lognormal3", "lognormal6", "lognormal10", "lognormal20", "two_scales", "spikes"]
+
+
+@pytest.mark.parametrize("family", WIDE_FAMILIES)
+class TestWideRangeAt2000:
+    """What holds for every family at n = 2,000, including those where the
+    exact solution of small coefficients beside large ones is not always
+    correctly rounded: a normwise bound on the coefficients and on the
+    product, and the round-trip bound at every sample."""
+
+    def test_coefficients_within_half_an_ulp_of_the_largest(self, family):
+        rhs = wide_family(family, 2_000)
+        x, _ = solve(SignPattern(2_000), rhs)
+        exact = solve_sign_system_rounded(rhs)
+        assert np.max(np.abs(x - exact)) <= np.spacing(np.max(np.abs(exact))) / 2
+
+    def test_product_within_half_an_ulp_of_the_largest(self, family):
+        x, _ = solve(SignPattern(2_000), wide_family(family, 2_000))
+        y = apply_sign_matrix(SignPattern(2_000), x)
+        exact = sign_matrix_product_rounded(x)
+        assert np.max(np.abs(y - exact)) <= np.spacing(np.max(np.abs(exact))) / 2
+
+    def test_round_trip_within_the_rounding_bound(self, family):
+        rhs = wide_family(family, 2_000)
+        x, _ = solve(SignPattern(2_000), rhs)
+        rebuilt = apply_sign_matrix(SignPattern(2_000), x)
+        bound = np.sum(np.spacing(np.abs(x))) / 2 + np.spacing(np.abs(rebuilt)) / 2
+        assert np.all(np.abs(rebuilt - rhs) <= bound)
+
+
+class TestCorrectlyRoundedOnLognormal6:
+    """Componentwise correct rounding also holds on signed lognormal(0, 6) at n = 2,000."""
+
+    def test_every_coefficient_correctly_rounded(self):
+        rhs = wide_family("lognormal6", 2_000)
+        x, _ = solve(SignPattern(2_000), rhs)
+        assert np.array_equal(bits(x), bits(solve_sign_system_rounded(rhs)))
+
+    def test_every_product_sample_correctly_rounded(self):
+        x, _ = solve(SignPattern(2_000), wide_family("lognormal6", 2_000))
+        y = apply_sign_matrix(SignPattern(2_000), x)
+        assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))

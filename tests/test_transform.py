@@ -229,3 +229,31 @@ class TestRoundTrip:
         expected = a * sv.coefficients + b * sw.coefficients
         scale = max(1.0, np.max(np.abs(expected), initial=0.0))
         assert np.max(np.abs(combined.coefficients - expected)) <= 1e-9 * scale
+
+
+class TestSolverLookup:
+    """forward and inverse call the solver through `sqwt.transform`, where it is bound on first use."""
+
+    def test_solver_names_are_linsolve_s(self):
+        import sqwt.linsolve
+        import sqwt.transform
+
+        for name in ("solve", "apply_sign_matrix", "SolveReport"):
+            assert getattr(sqwt.transform, name) is getattr(sqwt.linsolve, name)
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            sqwt.transform.no_such_name
+
+    def test_rebinding_reaches_forward_and_inverse(self, monkeypatch):
+        import sqwt.transform
+
+        calls = []
+
+        def recording(name):
+            original = getattr(sqwt.transform, name)
+            return lambda *args: calls.append(name) or original(*args)
+
+        for name in ("solve", "apply_sign_matrix"):
+            monkeypatch.setattr(sqwt.transform, name, recording(name))
+        spectrum, _ = forward(paper_series())
+        assert np.array_equal(inverse(spectrum).values, PAPER_VALUES)
+        assert calls == ["solve", "apply_sign_matrix"]
