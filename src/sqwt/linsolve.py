@@ -10,16 +10,24 @@ first differences turn the system into
 
 Ordered by span this is lower triangular, with diagonal -2 for spans
 1..n-1 and 1 for span n, so |det| = 2^(n-1) and the system is never
-singular. Forward substitution runs over dyadic span blocks [L, 2L): every
-proper divisor of a span in a block lies below the block. The solve and
-the matrix-free product both take O(n log n) time and O(n) memory. Only
-the product is compensated: the substitution sums plainly, and solve's
-refinement step corrects it from the product's residual.
+singular. The halved differences are a Dirichlet convolution g * c with
+g(k) = (-1)^k, and g = zeta * (2 delta_2 - delta_1), where zeta is 1
+everywhere and delta_k is the unit at k (Apostol, Introduction to Analytic
+Number Theory, 1976, ch. 2; the structure of Tufts and Sadasiv's
+arithmetic Fourier transform). zeta is the product over primes p of
+1 / (1 - delta_p), so both directions are sweeps over the primes up to
+n - 1: the solve's Moebius sweep applies 1 - delta_p once per prime and
+then undoes 2 delta_2 - delta_1 in log2 n doubling slices; the product
+applies 2 delta_2 - delta_1 and then the zeta sweep. Primes above
+sqrt(n) go in one batch per multiplier. Each sweep does about
+n * sum_{p <= n} 1/p element operations (3n at n = 10^6) in O(n) memory,
+and nothing of size n*n is formed. Only the product is compensated: the
+solve sums plainly, and its refinement step corrects it from the
+product's residual.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -61,70 +69,87 @@ def _prefix_sums(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return sums, np.cumsum(errors)
 
 
-def _span_blocks(n: int):
-    """Dyadic blocks [L, 2L) covering spans 1 .. n-1."""
-    start = 1
-    while start < n:
-        stop = min(2 * start, n)
-        yield start, stop
-        start = stop
+def _add(hi, lo, rows, terms, terms_lo):
+    """hi[rows] + lo[rows] += terms + terms_lo, keeping hi's rounding error in lo.
 
-
-def _divisor_terms(x: np.ndarray, start: int, stop: int):
-    """The terms (-1)^(i/l) x[l] over the proper divisors l of each i in [start, stop).
-
-    Requires stop <= 2 * start, so every proper divisor is below start.
-    Yields (rows, terms) pairs, rows a strided slice of [0, stop - start).
-    Divisor pairs (l, m = i/l) are swept as strided slices: all multiples
-    of each l up to sqrt(stop), then all larger l for each quotient m, so
-    the loops run O(sqrt(stop)) times. The order of the pairs is fixed.
+    hi is assigned last, so terms may be a view of hi that overlaps rows.
     """
-    alternating = np.where(np.arange(stop - start + 2) & 1, -1.0, 1.0)
-    split = math.isqrt(stop)
-    for l in range(1, min(split, start - 1) + 1):
-        m = -(-start // l)
-        count = -(-stop // l) - m
-        yield slice(m * l - start, None, l), x[l] * alternating[m & 1 : (m & 1) + count]
-    for m in range(2, (stop - 1) // (split + 1) + 1):
-        first = max(split + 1, -(-start // m))
-        last = min(start, -(-stop // m))
-        if first < last:
-            rows = slice(first * m - start, (last - 1) * m - start + 1, m)
-            yield rows, x[first:last] if m % 2 == 0 else -x[first:last]
+    total = hi[rows] + terms
+    lo[rows] += terms_lo + _two_sum_error(hi[rows], terms, total)
+    hi[rows] = total
+
+
+def _prime_steps(m: int, powers: bool = False):
+    """The steps of the prime sweeps over indices 1 .. m, as (rows, sources) pairs.
+
+    y[rows] -= y[sources] applies the Dirichlet factor 1 - delta_q, and
+    y[rows] += y[sources] applies 1 + delta_q; numpy reads the sources
+    before it writes a row. With one q per prime, the subtracting sweep is
+    the Moebius transform. With powers, which adds q = p^2, p^4, ... <= m,
+    the adding sweep is the zeta transform, since 1 / (1 - delta_p) =
+    (1 + delta_p)(1 + delta_{p^2})(1 + delta_{p^4})...  Each prime up to
+    sqrt(m) gives strided slices. A prime p above sqrt(m) has only the
+    multiples j p with j < sqrt(m), and no other prime above sqrt(m)
+    divides them, so one index array per multiplier j covers every such
+    p <= m // j, all with the one source j. The order is fixed.
+    """
+    split = math.isqrt(m)
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, split + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            q = p
+            while q <= m:
+                yield slice(q, m + 1, q), slice(1, m // q + 1)
+                if not powers:
+                    break
+                q *= q
+    large = np.flatnonzero(is_prime[split + 1 :]) + (split + 1)
+    for j in range(1, split + 1):
+        count = np.searchsorted(large, m // j, "right")
+        if not count:
+            break
+        yield j * large[:count], j
 
 
 def _substitute(rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution with plain divisor sums; coefficients in train order."""
+    """Forward substitution with plain sums; coefficients in train order.
+
+    The Moebius sweep turns the halved differences d = g * x into
+    y = (2 delta_2 - delta_1) * x, so x_l = -y_l + 2 x_{l/2}, added over
+    dyadic blocks of l.
+    """
     n = rhs.shape[0]
-    x = np.zeros(n + 1)  # x[l]: coefficient of the train with span l
-    half_diff = np.zeros(n)
-    half_diff[1:] = np.diff(rhs) / 2.0
-    for start, stop in _span_blocks(n):
-        sums = np.zeros(stop - start)
-        for rows, terms in _divisor_terms(x, start, stop):
-            sums[rows] += terms
-        x[start:stop] = sums - half_diff[start:stop]
+    y = np.zeros(n + 1)
+    y[1:n] = np.diff(rhs) / 2.0
+    for rows, sources in _prime_steps(n - 1):
+        y[rows] -= y[sources]
+    x = 0.0 - y  # x[l]: coefficient of the train with span l; -y would give -0.0
+    for k in (1 << b for b in range((n - 1).bit_length() - 1)):  # 2 k <= n - 1
+        doubled = x[2 * k : 4 * k : 2]
+        doubled += 2.0 * x[k : k + doubled.size]
     x[n] = rhs[0] - x[:n].sum()  # x[0] is 0
     return x[:0:-1].copy()
 
 
 def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign matrix times x (train order) as an unrounded pair (sums, corrections)."""
+    """Sign matrix times x (train order) as an unrounded pair (sums, corrections).
+
+    The row differences are D = zeta * y with y_i = -x_i + 2 x_{i/2}: every
+    add of the zeta sweep is compensated.
+    """
     n = x.shape[0]
-    spans = np.zeros(n + 1)
-    spans[1:] = x[::-1]
+    spans = x[::-1]  # spans[l - 1]: coefficient of the train with span l
     diff_hi = np.zeros(n)
     diff_lo = np.zeros(n)
-    for start, stop in _span_blocks(n):
-        hi, lo = diff_hi[start:stop], diff_lo[start:stop]
-        own = (slice(None), -spans[start:stop])
-        for rows, terms in itertools.chain(_divisor_terms(spans, start, stop), [own]):
-            total = hi[rows] + terms
-            lo[rows] += _two_sum_error(hi[rows], terms, total)
-            hi[rows] = total
+    diff_hi[1:] = 0.0 - spans[:-1]  # -x_i; a zero stays +0.0
+    _add(diff_hi, diff_lo, slice(2, None, 2), 2.0 * spans[: (n - 1) // 2], 0.0)
+    for rows, sources in _prime_steps(n - 1, powers=True):
+        _add(diff_hi, diff_lo, rows, diff_hi[sources], diff_lo[sources])
     diff_hi *= 2.0
     diff_lo *= 2.0
-    sums, corrections = _prefix_sums(spans[1:], np.zeros(n))
+    sums, corrections = _prefix_sums(spans, np.zeros(n))
     diff_hi[0], diff_lo[0] = sums[-1], corrections[-1]
     return _prefix_sums(diff_hi, diff_lo)
 
@@ -133,12 +158,13 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     """Matrix-free product of the sign matrix with x.
 
     Computes row 1 and the row-to-row differences
-    2 * sum_{l | i} (-1)^(i/l) x_l with TwoSum-compensated divisor sums,
-    then a compensated prefix sum. The order of operations is fixed, so the
-    result is bit-reproducible, exact on integer vectors, and free of the
-    rounding drift a plain running sum would pick up (coefficients can
-    dwarf the series values by orders of magnitude). Takes a finite x of
-    length n; OverflowError means its product leaves the float64 range.
+    2 * sum_{l | i} (-1)^(i/l) x_l by the zeta sweep, every add compensated
+    with TwoSum, then a compensated prefix sum. The order of operations is
+    fixed, so the result is bit-reproducible, exact on integer vectors, and
+    free of the rounding drift a plain running sum would pick up
+    (coefficients can dwarf the series values by orders of magnitude).
+    Takes a finite x of length n; OverflowError means its product leaves
+    the float64 range.
     """
     x = _finite_vector(x, pattern.n, "x")
     with np.errstate(over="ignore", invalid="ignore"):

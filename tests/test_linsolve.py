@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -363,3 +364,45 @@ class TestCorrectlyRoundedOnLognormal6:
         x, _ = solve(SignPattern(2_000), wide_family("lognormal6", 2_000))
         y = apply_sign_matrix(SignPattern(2_000), x)
         assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))
+
+
+# n - 1 at the edges of the prime sweeps: 1 and 2; a prime (97, 1,031,
+# 9,973); a prime square (11^2, 13^2, 31^2); a prime fourth power (3^4,
+# 5^4); a power of two or one less
+SWEEP_EDGES = [2, 3, 98, 1032, 9974, 122, 170, 962, 82, 626, 129, 128, 1025, 1024, 4097]
+
+
+@pytest.mark.parametrize("n", SWEEP_EDGES)
+@pytest.mark.parametrize("family", ["generated", "lognormal"])
+class TestCorrectlyRoundedAtSweepEdges:
+    """Bit-exact against the integer oracle where the sweeps' slices start or stop."""
+
+    def test_every_coefficient_correctly_rounded(self, family, n):
+        rhs = series_family(family, n)
+        x, _ = solve(SignPattern(n), rhs)
+        assert np.array_equal(bits(x), bits(solve_sign_system_rounded(rhs)))
+
+    def test_every_product_sample_correctly_rounded(self, family, n):
+        x, _ = solve(SignPattern(n), series_family(family, n))
+        y = apply_sign_matrix(SignPattern(n), x)
+        assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))
+
+
+@pytest.mark.parametrize("function, vectors", [(solve, 10.5), (apply_sign_matrix, 9.5)],
+                         ids=["solve", "apply_sign_matrix"])
+def test_traced_peak_at_100k(function, vectors):
+    """The solver's tracemalloc peak at n = 10^5, in float64 vectors of length n.
+
+    The bounds are the measured peaks (10.0 and 9.0 vectors) rounded up to
+    the next half vector, so one more vector kept alive fails.
+    """
+    n = 100_000
+    rhs = series_family("generated", n)
+    argument = rhs if function is solve else solve(SignPattern(n), rhs)[0]
+    tracemalloc.start()
+    try:
+        function(SignPattern(n), argument)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * 8 * n, f"peaked at {peak / (8 * n):.2f} vectors"
