@@ -7,8 +7,7 @@ to 1. It turns the cyclic garbage collector off, and freezes the heap once
 the command has its exit code, so that no collection, the interpreter's
 shutdown passes included, walks numpy's objects. atexit handlers, stream
 flushes and module teardown still run. `main(argv)` called in-process
-leaves the environment and the collector as it found them. generate and
-spectrum-plotdata never load the solver.
+leaves the environment and the collector as it found them.
 Exit codes: 0 success, 2 bad flags, unparsable input, an output or a
 stdout that cannot be written, or values whose transform overflows float64.
 """
@@ -19,6 +18,8 @@ import argparse
 import gc
 import os
 import sys
+
+from .errors import FileFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -158,9 +159,6 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import FileFormatError
-
     try:
         lines = args.func(args)
     except (FileFormatError, ValueError, OverflowError) as exc:

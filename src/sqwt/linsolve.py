@@ -57,16 +57,15 @@ def _two_sum_error(a, b, total):
 
 
 def _prefix_sums(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running sums of hi + lo as a pair (sums, corrections).
+    """Running sums of hi + lo as a pair (sums, corrections); lo is overwritten.
 
     The plain running sum is kept next to the running sum of its exact
     rounding errors (and of lo), so sums + corrections is accurate to a
     few units in the last place however long the series.
     """
     sums = np.cumsum(hi)
-    errors = lo.copy()
-    errors[1:] += _two_sum_error(sums[:-1], hi[1:], sums[1:])
-    return sums, np.cumsum(errors)
+    lo[1:] += _two_sum_error(sums[:-1], hi[1:], sums[1:])
+    return sums, np.cumsum(lo)
 
 
 def _add(hi, lo, rows, terms, terms_lo):
@@ -149,8 +148,12 @@ def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _add(diff_hi, diff_lo, rows, diff_hi[sources], diff_lo[sources])
     diff_hi *= 2.0
     diff_lo *= 2.0
-    sums, corrections = _prefix_sums(spans, np.zeros(n))
-    diff_hi[0], diff_lo[0] = sums[-1], corrections[-1]
+    # row 1 is the compensated total of all coefficients: the last entry of
+    # _prefix_sums(spans, zeros), without that call's n-vectors
+    sums = np.cumsum(spans)
+    errors = np.r_[0.0, _two_sum_error(sums[:-1], spans[1:], sums[1:])]
+    diff_hi[0], diff_lo[0] = sums[-1], np.cumsum(errors)[-1]
+    del sums, errors  # the final prefix sums would otherwise sit on two more n-vectors
     return _prefix_sums(diff_hi, diff_lo)
 
 

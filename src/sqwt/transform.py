@@ -4,37 +4,18 @@ The forward transform solves the signed coefficient system; the inverse
 rebuilds the series as the signed sum of all coefficients per subinterval.
 A Spectrum stores the coefficients and derives its frequencies from the
 grid by the law in `sqwt.waves`; dyad i pairs the i-th entry of each.
-
-The solver's names (`solve`, `apply_sign_matrix`, `SolveReport`) are
-imported from `sqwt.linsolve` on first use, so code that only reads, writes
-or generates series and spectra never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
+from .linsolve import SolveReport, apply_sign_matrix, solve
 from .waves import GridSpec, SignPattern, _finite_vector, _train_frequencies
-
-_SOLVER_NAMES = ("SolveReport", "apply_sign_matrix", "solve")
-# forward and inverse look the solver up on this module at each call, so
-# that rebinding `sqwt.transform.solve` (as a tracer does) takes effect
-_module = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    """Bind a solver name here on its first access, from `sqwt.linsolve`."""
-    if name not in _SOLVER_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import linsolve
-
-    value = globals()[name] = getattr(linsolve, name)
-    return value
 
 
 def _check_unit(unit) -> None:
@@ -107,7 +88,7 @@ def forward(series: TimeSeries) -> tuple[Spectrum, SolveReport]:
     which reconstruction_report measures on inverse(spectrum).
     """
     pattern = SignPattern(series.grid.n)
-    coefficients, report = _module.solve(pattern, series.values)
+    coefficients, report = solve(pattern, series.values)
     return Spectrum(series.grid, coefficients, series.unit), report
 
 
@@ -118,7 +99,7 @@ def inverse(spectrum: Spectrum) -> TimeSeries:
     apply_sign_matrix in a fixed order; the output is bit-reproducible.
     """
     pattern = SignPattern(spectrum.grid.n)
-    values = _module.apply_sign_matrix(pattern, spectrum.coefficients)
+    values = apply_sign_matrix(pattern, spectrum.coefficients)
     return TimeSeries(values, spectrum.grid, spectrum.unit)
 
 

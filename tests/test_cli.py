@@ -29,6 +29,13 @@ def run_cli(*args, env=None):
     )
 
 
+def child_stdout(code: str) -> str:
+    """The last line a fresh `python -c code` process prints; it must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.fixture
 def paper_file(tmp_path):
     path = tmp_path / "paper.csv"
@@ -483,10 +490,16 @@ class TestStartup:
 
     @pytest.mark.parametrize("statement", ["import sqwt", "import sqwt.cli"])
     def test_import_loads_no_numpy(self, statement):
-        code = f"import sys; {statement}; print('numpy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert child_stdout(f"import sys; {statement}; print('numpy' in sys.modules)") == "False"
+
+    def test_public_annotations_resolve_in_a_fresh_process(self):
+        """The solver's names are plain globals of `sqwt.transform` from its import on."""
+        code = ("import typing, sqwt.transform; "
+                "unbound = [name for name in ('SolveReport', 'apply_sign_matrix', 'solve') "
+                "if name not in vars(sqwt.transform)]; "
+                "import sqwt; [typing.get_type_hints(getattr(sqwt, name)) for name in sqwt.__all__]; "
+                "print(unbound)")
+        assert child_stdout(code) == "[]"
 
     def test_public_names_resolve_and_are_listed(self):
         import sqwt
@@ -600,22 +613,19 @@ class TestProcessEntry:
     @staticmethod
     def child(argv) -> str:
         """stdout of a process entry that runs `argv` and then prints its state."""
-        code = ("import gc, sys; from sqwt.cli import main; "
-                f"sys.argv = ['sqwt', *{argv!r}]; code = main(); "
-                "print(code, 'numpy' in sys.modules, 'sqwt.linsolve' in sys.modules, "
-                "gc.isenabled(), gc.get_freeze_count() > 0)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1]
+        return child_stdout("import gc, sys; from sqwt.cli import main; "
+                            f"sys.argv = ['sqwt', *{argv!r}]; code = main(); "
+                            "print(code, 'numpy' in sys.modules, "
+                            "gc.isenabled(), gc.get_freeze_count() > 0)")
 
     @pytest.mark.parametrize("command", ["generate", "spectrum-plotdata"])
-    def test_child_that_does_not_solve_loads_no_solver(self, tmp_path, command):
+    def test_child_that_does_not_solve_runs_with_the_collector_off(self, tmp_path, command):
         argvs = pipeline_argvs(tmp_path, 30)
         write_spectrum(tmp_path / "sp30.json",
                        Spectrum(GridSpec.from_sampling_rate(30, 2.0), np.arange(30.0)))
-        assert self.child(argvs[command]) == "0 True False False True"
+        assert self.child(argvs[command]) == "0 True False True"
 
     def test_child_runs_with_the_collector_off_and_a_frozen_heap(self, tmp_path):
         argvs = pipeline_argvs(tmp_path, 30)
         write_series_values(tmp_path / "s30.csv", np.linspace(-1.0, 1.0, 30))
-        assert self.child(argvs["analyze"]) == "0 True True False True"
+        assert self.child(argvs["analyze"]) == "0 True False True"

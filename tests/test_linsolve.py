@@ -388,12 +388,12 @@ class TestCorrectlyRoundedAtSweepEdges:
         assert np.array_equal(bits(y), bits(sign_matrix_product_rounded(x)))
 
 
-@pytest.mark.parametrize("function, vectors", [(solve, 10.5), (apply_sign_matrix, 9.5)],
+@pytest.mark.parametrize("function, vectors", [(solve, 7.5), (apply_sign_matrix, 6.5)],
                          ids=["solve", "apply_sign_matrix"])
 def test_traced_peak_at_100k(function, vectors):
     """The solver's tracemalloc peak at n = 10^5, in float64 vectors of length n.
 
-    The bounds are the measured peaks (10.0 and 9.0 vectors) rounded up to
+    The bounds are the measured peaks (7.0 and 6.0 vectors) rounded up to
     the next half vector, so one more vector kept alive fails.
     """
     n = 100_000

@@ -232,7 +232,7 @@ class TestRoundTrip:
 
 
 class TestSolverLookup:
-    """forward and inverse call the solver through `sqwt.transform`, where it is bound on first use."""
+    """forward and inverse call the solver through `sqwt.transform`'s globals, which a tracer may rebind."""
 
     def test_solver_names_are_linsolve_s(self):
         import sqwt.linsolve
