@@ -88,6 +88,7 @@ def _cmd_analyze(args) -> list[str]:
     else:
         grid = GridSpec.from_sampling_rate(n, args.fs)
     series = TimeSeries(values, grid, args.unit)
+    del values  # the series holds its own copy; the parsed one need not live through the solve
     spectrum, solve_report = forward(series)
     recon = reconstruction_report(series, inverse(spectrum))
     if args.report is not None:  # first: a report that cannot be written leaves --out untouched

@@ -12,12 +12,12 @@ series is parsed from its bytes, one line at a time.
 spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
 reader reads a canonical file once, front to back, and matches records with
 one pattern built from the record template; the file's size only bounds n.
-A pipe is first copied to a temporary file; a file that departs from the
-layout is read again, from the same open file, as one JSON document, held
-whole in memory. Both readers leave the header's `n` rule to GridSpec, take
-the rule for a valid real number (the header's delta_t_s and f_s_hz, each
-record's f_hz and c) from `sqwt.waves`, and check each stored frequency
-against the frequency law of `sqwt.waves`.
+A pipe is first copied to a temporary file; only a file that departs from
+the layout is read again, from the same open file, as one JSON document,
+held whole in memory. Both readers name a faulty record by `_record_fault`,
+leave the header's `n` rule to GridSpec, take the rule for a valid real
+number (the header's delta_t_s and f_s_hz, each record's f_hz and c) from
+`sqwt.waves`, and check each stored frequency against its frequency law.
 """
 
 from __future__ import annotations
@@ -233,34 +233,38 @@ _RECORD = re.compile(b"".join(_FIELDS.get(piece) or re.escape(piece) for piece i
 
 
 def _block(data: bytes, done: int, grid: GridSpec):
-    """(coefficients, carry) for the complete records at the start of a canonical block.
+    """(coefficients, carry, fault) for the complete records at the start of a canonical block.
 
     `data` starts at a record and comes after `done` records; None if it
-    departs from the canonical layout or holds a record that `_record_fault`
-    would name. One _RECORD.split cuts the records: every separator piece
-    but the last must be empty (the records are contiguous) and the last, a
-    partial record, is the carry. Each `i` must be its index; one json.loads
-    parses the f_hz and c tokens of the block.
+    departs from the canonical layout. One _RECORD.split cuts the records:
+    every separator piece but the last must be empty (the records are
+    contiguous) and the last, a partial record, is the carry. One json.loads
+    parses the block's i, f_hz and c tokens; `fault` names its first faulty
+    record, or is None.
     """
     pieces = _RECORD.split(data)
     count = len(pieces) // 4
     if done + count > grid.n or any(pieces[0:-1:4]):
         return None
-    if pieces[1::4] != [b"%d" % i for i in range(done + 1, done + count + 1)]:
-        return None
-    try:  # every f_hz, then every c; each token is a JSON int or float, none holds a comma
-        column = np.array(json.loads(b"[" + b",".join(pieces[2::4] + pieces[3::4]) + b"]"),
-                          dtype=np.float64)
+    try:  # every i, then every f_hz, then every c; each token is a JSON int or float
+        tokens = json.loads(b"[" + b",".join(pieces[1::4] + pieces[2::4] + pieces[3::4]) + b"]")
+        column = np.array(tokens, dtype=np.float64)
     except (ValueError, OverflowError):  # a malformed token, or an int past the float range
         return None
+    index, frequency, coefficients = column.reshape(3, count)
     expected = _train_frequencies(grid, done + 1, done + count)
-    if not (np.all(np.abs(column[:count] - expected) <= _FREQ_SANITY_REL_TOL * expected)
-            and np.all(np.isfinite(column[count:]))):
-        return None
-    return column[count:], pieces[-1]
+    passed = ((index == np.arange(done + 1, done + count + 1))
+              & (np.abs(frequency - expected) <= _FREQ_SANITY_REL_TOL * expected)
+              & np.isfinite(coefficients))
+    fault = None
+    if not passed.all():  # the first record that fails, worded from its own tokens
+        pos = int(np.argmin(passed))
+        fault = _record_fault(done + pos, dict(zip(("i", "f_hz", "c"), tokens[pos::count])),
+                              grid.n, float(expected[pos]))
+    return coefficients, pieces[-1], fault
 
 
-def _read_canonical(file) -> Spectrum | None:
+def _read_canonical(file, name: str) -> Spectrum | None:
     """The spectrum in a binary file of the canonical layout; None if it departs from it.
 
     One pass, front to back, reading each byte once: decodes the header
@@ -268,7 +272,9 @@ def _read_canonical(file) -> Spectrum | None:
     _CHUNK bytes, through _block behind the partial record carried from the
     one before. At the end of the file the carry must end in _TAIL, read as
     _RECORD_SEP. A carry longer than _CHUNK falls back; the file's size
-    only bounds n before n floats are allocated.
+    only bounds n before n floats are allocated. The first faulty record is
+    named only once the whole file holds to the layout with n records, in
+    the document reader's order of faults.
     """
     size = os.fstat(file.fileno()).st_size
     head = file.read(_CHUNK)
@@ -278,14 +284,14 @@ def _read_canonical(file) -> Spectrum | None:
     try:
         # the dyads array then closes the top-level object
         doc = json.loads(head[:pos].decode("utf-8") + "]}")
-        grid = _grid(doc, file.name)  # the message is dropped: the fallback names the fault
+        grid = _grid(doc, name)  # the message is dropped: the fallback names the fault
     except (ValueError, RecursionError, FileFormatError):
         return None
     if grid.n * len(_PIECES[0]) > size:  # too few bytes for n records
         return None
     coefficients = np.empty(grid.n)
     # the bytes after the header are the first chunk (none there does not end the file)
-    carry, chunk, done, more = b"", head[pos:] or file.read(_CHUNK), 0, True
+    carry, chunk, done, more, fault = b"", head[pos:] or file.read(_CHUNK), 0, True, None
     while more:
         if not chunk:  # the end of the file: the last record then ends like the others
             if not carry.endswith(_TAIL):
@@ -294,7 +300,8 @@ def _read_canonical(file) -> Spectrum | None:
         block = _block(carry + chunk, done, grid)
         if block is None:
             return None
-        column, carry = block
+        column, carry, found = block
+        fault = fault or found  # the first fault is the one named
         coefficients[done : done + len(column)] = column
         done += len(column)
         if len(carry) > _CHUNK:
@@ -302,6 +309,7 @@ def _read_canonical(file) -> Spectrum | None:
         chunk = file.read(_CHUNK) if more else b""
     if carry or done != grid.n:
         return None
+    _require(fault is None, name, fault)
     return Spectrum(grid, coefficients, doc["unit"])
 
 
@@ -313,9 +321,10 @@ def read_spectrum(path) -> Spectrum:
     strings are presentation-only and ignored. The input is opened once; a
     pipe is first copied to a tempfile.TemporaryFile, as large as the
     stream, in tempfile.gettempdir() and gone when the read ends. The layout
-    of `write_spectrum` is read once, in blocks of bounded size; the file's
-    size only bounds n. Other valid JSON is read again from the same open
-    file as one document, held in memory, with the same result or fault.
+    of `write_spectrum`, faulty records too, is read once, in blocks of
+    bounded size; the file's size only bounds n. Only a file that departs
+    from the layout is read again from the same open file as one document,
+    held in memory, with the same result or fault.
     """
     with _faults_named(path, "cannot read file"), contextlib.ExitStack() as files:
         file = files.enter_context(Path(path).open("rb"))
@@ -328,7 +337,7 @@ def read_spectrum(path) -> Spectrum:
                     copy.flush()  # so that no fault of the copy is left for the seek
             copy.seek(0)
             file = copy
-        spectrum = _read_canonical(file)
+        spectrum = _read_canonical(file, str(path))
         if spectrum is None:
             file.seek(0)
             spectrum = _read_document(file, str(path))

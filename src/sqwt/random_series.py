@@ -2,8 +2,8 @@
 
 Eight digits map to one value: a sign digit, two integer-part digits and
 five fractional digits, giving values in [-99.99999, 99.99999] with exactly
-five decimals. The digit source is a counter-based 64-bit mixer, so a seed
-fully determines the series on any platform.
+five decimals. `_digits` mixes a 64-bit counter that starts at the seed,
+so a seed fully determines the series on any platform.
 """
 
 from __future__ import annotations
@@ -36,38 +36,25 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-class DigitStream:
-    """Deterministic uniform digits 0-9 from a 64-bit seed.
+def _digits(state: int, count: int) -> tuple[np.ndarray, int]:
+    """`count` uniform digits 0-9 as an int64 array, and the counter after them.
 
-    Each draw mixes an incrementing counter (splitmix-style), rejects the
-    top sliver of the 64-bit range, and reduces modulo 10; rejection keeps
-    every digit exactly equally likely.
+    Draw k from the counter `state` mixes state + k * gamma (splitmix-style).
+    A draw in the top sliver of the 64-bit range is rejected and its
+    shortfall drawn from the following counters, so every digit is exactly
+    equally likely and the digits do not depend on how many are drawn at once.
     """
-
-    def __init__(self, seed: int):
-        if not _is_integer(seed) or not 0 <= seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
-        self.seed = int(seed)
-        self._state = int(seed)
-
-    def _digits(self, count: int) -> np.ndarray:
-        """The next `count` digits as an int64 array.
-
-        Draw k from the current state mixes state + k * gamma; rejected draws
-        are dropped and the shortfall is drawn from the following counters,
-        so the digits do not depend on how many are drawn at once.
-        """
-        parts = []
-        while count:
-            k = np.arange(1, count + 1, dtype=np.uint64)
-            k *= np.uint64(_GAMMA)
-            k += np.uint64(self._state)
-            self._state = (self._state + count * _GAMMA) & _MASK64
-            z = _mix64_array(k)
-            accepted = z[z < np.uint64(_REJECT_ABOVE)]
-            parts.append((accepted % np.uint64(10)).astype(np.int64))
-            count -= len(accepted)
-        return np.concatenate(parts)
+    parts = []
+    while count:
+        k = np.arange(1, count + 1, dtype=np.uint64)
+        k *= np.uint64(_GAMMA)
+        k += np.uint64(state)
+        state = (state + count * _GAMMA) & _MASK64
+        z = _mix64_array(k)
+        accepted = z[z < np.uint64(_REJECT_ABOVE)]
+        parts.append((accepted % np.uint64(10)).astype(np.int64))
+        count -= len(accepted)
+    return np.concatenate(parts), state
 
 
 @dataclass(frozen=True)
@@ -92,16 +79,18 @@ def _values_from_digits(d: np.ndarray) -> np.ndarray:
 
 
 def generate(seed: int, grid: GridSpec) -> GeneratedSeries:
-    """Draw grid.n consecutive values from a fresh DigitStream(seed) on the grid.
+    """Draw grid.n consecutive values on the grid, eight digits each, from counter `seed`.
 
-    Each value takes the next eight digits of the stream; they are drawn in
-    vectorised blocks of at most _BLOCK values.
+    The digits are drawn in vectorised blocks of at most _BLOCK values, each
+    from the counter that the block before left.
     """
+    if not _is_integer(seed) or not 0 <= seed < (1 << 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed)}")
     n = grid.n
-    stream = DigitStream(seed)
+    state = seed = int(seed)
     values = np.empty(n, dtype=np.float64)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        digits = stream._digits(8 * (stop - start)).reshape(-1, 8)
-        values[start:stop] = _values_from_digits(digits)
-    return GeneratedSeries(TimeSeries(values, grid), stream.seed)
+        digits, state = _digits(state, 8 * (stop - start))
+        values[start:stop] = _values_from_digits(digits.reshape(-1, 8))
+    return GeneratedSeries(TimeSeries(values, grid), seed)

@@ -164,7 +164,7 @@ def mix64(z: int) -> int:
 
 
 class ScalarDigitStream:
-    """The digit stream of `sqwt.random_series.DigitStream`, one draw per call."""
+    """The digits of `sqwt.random_series._digits`, one draw per call."""
 
     def __init__(self, seed: int):
         self.state = seed

@@ -693,7 +693,7 @@ class TestCanonicalReader:
             spectrum = sample_spectrum()
             assert result == (spectrum.grid, "mV", spectrum.coefficients.tobytes())
         with path.open("rb") as file:
-            in_blocks = fileio._read_canonical(file) is not None
+            in_blocks = fileio._read_canonical(file, str(path)) is not None
         assert in_blocks == (name == "a number spelled with an exponent")
 
     @pytest.mark.parametrize("n", [8, 100])
@@ -703,8 +703,8 @@ class TestCanonicalReader:
         data = path.read_bytes()
         in_blocks = []
         read_canonical = fileio._read_canonical
-        monkeypatch.setattr(fileio, "_read_canonical",
-                            lambda file: in_blocks.append(read_canonical(file)) or in_blocks[-1])
+        monkeypatch.setattr(fileio, "_read_canonical", lambda file, name:
+                            in_blocks.append(read_canonical(file, name)) or in_blocks[-1])
         # the extended files, one whose last newline is a space (valid JSON, but not the
         # canonical tail), the file itself, then every shorter prefix, cut in place
         texts = [data + extra for extra in (b" ", b"\n", fileio._TAIL)]
@@ -734,7 +734,7 @@ class TestCanonicalReader:
         at = data.index(b'"display": "(', record_2) + len(b'"display": "(')
         path.write_bytes(data[:at] + b"0" * extra + data[at:])
         with path.open("rb") as file:
-            assert (fileio._read_canonical(file) is not None) == in_blocks
+            assert (fileio._read_canonical(file, str(path)) is not None) == in_blocks
         if in_blocks:
             monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
         assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
@@ -777,7 +777,7 @@ class TestCanonicalReader:
         at = data.index(b'"c": ', data.index(b'"i": 3,')) + len(b'"c": ')
         path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
         with path.open("rb") as file:
-            assert fileio._read_canonical(file) is None
+            assert fileio._read_canonical(file, str(path)) is None
         with pytest.raises(FileFormatError) as err:
             read_spectrum(path)
         assert str(err.value) == (
@@ -840,8 +840,8 @@ class TestCanonicalReader:
         write_spectrum(other, random_spectrum(8, seed=8, unit="V"))
         read_canonical = fileio._read_canonical
 
-        def replace_then_depart(file):
-            assert read_canonical(file) is not None
+        def replace_then_depart(file, name):
+            assert read_canonical(file, name) is not None
             os.replace(other, path)  # the name now holds another valid spectrum
         monkeypatch.setattr(fileio, "_read_canonical", replace_then_depart)
         spectrum = sample_spectrum()
@@ -863,8 +863,8 @@ class TestCanonicalReader:
         make, read_canonical = tempfile.TemporaryFile, fileio._read_canonical
         monkeypatch.setattr(fileio.tempfile, "TemporaryFile",
                             lambda: copies.append(make()) or copies[-1])
-        monkeypatch.setattr(fileio, "_read_canonical",
-                            lambda file: in_blocks.append(read_canonical(file)) or in_blocks[-1])
+        monkeypatch.setattr(fileio, "_read_canonical", lambda file, name:
+                            in_blocks.append(read_canonical(file, name)) or in_blocks[-1])
         fifo, result = through_fifo(
             tmp_path, data, call or (lambda fifo: outcome(read_spectrum, fifo)))
         assert [copy.closed for copy in copies] == [True]
@@ -924,17 +924,29 @@ class TestCanonicalReader:
         assert status == 2 and not out.exists() and captured.out == ""
         assert captured.err == f"error: {fifo}: cannot copy to a temporary file: {reason}\n"
 
-    def test_read_in_bounded_memory(self, tmp_path):
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_read_in_bounded_memory(self, tmp_path, monkeypatch, faulty):
+        # a faulty last record is named in the same one pass, not by reading the file again
         spectrum = random_spectrum(100_000)
         path = tmp_path / "spectrum.json"
         write_spectrum(path, spectrum)
+        if faulty:
+            data = path.read_bytes()
+            at = data.rindex(b'"c": ') + len(b'"c": ')
+            path.write_bytes(data[:at] + b"1e999" + data[data.index(b",", at):])
+            expected = outcome(read_document, path)
+            monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
         tracemalloc.start()
         try:
-            loaded = read_spectrum(path)
+            result = outcome(read_spectrum, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert loaded.coefficients.tobytes() == spectrum.coefficients.tobytes()
+        if faulty:
+            assert expected == (FileFormatError, "dyad 100000: c must be a finite number, got inf")
+            assert result == expected
+        else:
+            assert result[2] == spectrum.coefficients.tobytes()
         assert peak < 8e6, f"read_spectrum peaked at {peak / 1e6:.1f} MB"
 
 

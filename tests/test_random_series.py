@@ -9,7 +9,7 @@ from scipy.stats import chisquare
 
 from sqwt import GridSpec, generate, train_frequency
 from sqwt import random_series
-from sqwt.random_series import DigitStream
+from sqwt.random_series import _digits
 
 from oracles import GAMMA, MASK64, REJECT_ABOVE, ScalarDigitStream, golden_10000, mix64, next_value
 
@@ -76,7 +76,7 @@ class TestDigitMapping:
         assert mapped(digits) == expected
 
     def test_consumes_exactly_eight_digits_per_value(self):
-        digits = DigitStream(42)._digits(8 * 10).reshape(10, 8)
+        digits = _digits(42, 8 * 10)[0].reshape(10, 8)
         got = generate(42, GridSpec.from_sampling_rate(10, 2000.0)).series.values
         assert_same_values(got, random_series._values_from_digits(digits))
 
@@ -88,32 +88,31 @@ class TestDigitMapping:
 
 class TestDigitStream:
     def test_seed_validation(self):
-        DigitStream(0)
-        DigitStream(2**64 - 1)
+        grid = GridSpec.from_sampling_rate(4, 2000.0)
+        generate(0, grid)
+        generate(2**64 - 1, grid)
         for bad in (-1, 2**64, 1.5, "7", True, False):
-            with pytest.raises(ValueError):
-                DigitStream(bad)
+            with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got "):
+                generate(bad, grid)
 
     def test_too_long_seed_named_by_digit_count(self):
         message = "^seed must be a 64-bit unsigned integer, got an integer of 5001 digits$"
         with pytest.raises(ValueError, match=message):
-            DigitStream(10**5000)
-        with pytest.raises(ValueError, match=message):
             generate(10**5000, GridSpec.from_sampling_rate(4, 2000.0))
 
     def test_digits_in_range(self):
-        digits = DigitStream(99)._digits(2000)
+        digits, _ = _digits(99, 2000)
         assert set(digits.tolist()) <= set(range(10))
 
     def test_same_seed_same_sequence(self):
-        assert np.array_equal(DigitStream(1234)._digits(500), DigitStream(1234)._digits(500))
+        assert np.array_equal(_digits(1234, 500)[0], _digits(1234, 500)[0])
 
     def test_different_seeds_diverge(self):
-        assert not np.array_equal(DigitStream(1)._digits(100), DigitStream(2)._digits(100))
+        assert not np.array_equal(_digits(1, 100)[0], _digits(2, 100)[0])
 
     def test_digits_uniform_chi_square(self):
         # fixed seed, so this is a deterministic regression, not a flaky one
-        counts = np.bincount(DigitStream(20240811)._digits(1_000_000), minlength=10)
+        counts = np.bincount(_digits(20240811, 1_000_000)[0], minlength=10)
         assert chisquare(counts).pvalue > 0.001
 
 
@@ -223,11 +222,11 @@ class TestVectorisedGenerate:
     @pytest.mark.parametrize("seed", [42, seed_rejecting_draw(3)])
     def test_block_draw_advances_state_like_scalar_draws(self, seed):
         scalar = ScalarDigitStream(seed)
-        vector = DigitStream(seed)
         expected = [scalar.next_digit() for _ in range(40)]
-        assert vector._digits(40).tolist() == expected
-        assert vector._state == scalar.state
-        assert vector._digits(1).tolist() == [scalar.next_digit()]
+        digits, state = _digits(seed, 40)
+        assert digits.tolist() == expected
+        assert state == scalar.state
+        assert _digits(state, 1)[0].tolist() == [scalar.next_digit()]
 
     def test_cli_bytes_pinned(self, tmp_path):
         out = tmp_path / "gen.csv"
