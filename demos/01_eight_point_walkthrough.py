@@ -30,7 +30,7 @@ def main():
     print("\nsolved coefficients (mV):")
     for i, c in enumerate(spectrum.coefficients, start=1):
         print(f"  C_{i} = {c:g}")
-    print(f"solver: first-pass residual={report.residual_inf_norm:.3e}, "
+    print(f"solver: largest correction={report.residual_inf_norm:.3e}, "
           f"elapsed={report.elapsed_seconds * 1e3:.2f} ms")
 
     print("\ndyad spectrum (f_i; C_i):")

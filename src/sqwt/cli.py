@@ -96,8 +96,7 @@ def _cmd_analyze(args) -> list[str]:
     write_spectrum(args.out, spectrum)
     lines = [
         f"analyzed n={n} delta_t={grid.delta_t} s f_s={grid.f_s} Hz",
-        f"solve: residual_inf={solve_report.residual_inf_norm:.3e} "
-        f"refinement_steps={solve_report.refinement_steps_used} "
+        f"solve: correction_inf={solve_report.residual_inf_norm:.3e} "
         f"elapsed={solve_report.elapsed_seconds:.4f} s",
         f"round trip: max_abs_error={recon.max_abs_error:.3e} "
         f"at i={recon.index_of_max} rms_error={recon.rms_error:.3e}",

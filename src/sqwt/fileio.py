@@ -232,6 +232,14 @@ _PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)), _DYAD_RECORD + 
 _RECORD = re.compile(b"".join(_FIELDS.get(piece) or re.escape(piece) for piece in _PIECES))
 
 
+def _float_or_inf(token) -> float:
+    """float(token), or inf for an int past the float range."""
+    try:
+        return float(token)
+    except OverflowError:
+        return math.inf
+
+
 def _block(data: bytes, done: int, grid: GridSpec):
     """(coefficients, carry, fault) for the complete records at the start of a canonical block.
 
@@ -248,9 +256,12 @@ def _block(data: bytes, done: int, grid: GridSpec):
         return None
     try:  # every i, then every f_hz, then every c; each token is a JSON int or float
         tokens = json.loads(b"[" + b",".join(pieces[1::4] + pieces[2::4] + pieces[3::4]) + b"]")
-        column = np.array(tokens, dtype=np.float64)
-    except (ValueError, OverflowError):  # a malformed token, or an int past the float range
+    except ValueError:  # a malformed token
         return None
+    try:
+        column = np.array(tokens, dtype=np.float64)
+    except OverflowError:  # an int past the float range stands as inf, so its record is named
+        column = np.array([_float_or_inf(token) for token in tokens])
     index, frequency, coefficients = column.reshape(3, count)
     expected = _train_frequencies(grid, done + 1, done + count)
     passed = ((index == np.arange(done + 1, done + count + 1))

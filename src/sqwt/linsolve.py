@@ -21,9 +21,9 @@ then undoes 2 delta_2 - delta_1 in log2 n doubling slices; the product
 applies 2 delta_2 - delta_1 and then the zeta sweep. Primes above
 sqrt(n) go in one batch per multiplier. Each sweep does about
 n * sum_{p <= n} 1/p element operations (3n at n = 10^6) in O(n) memory,
-and nothing of size n*n is formed. Only the product is compensated: the
-solve sums plainly, and its refinement step corrects it from the
-product's residual.
+and nothing of size n*n is formed. Both sweeps are compensated: every add
+keeps its exact rounding error (Knuth's TwoSum) in a second vector, so an
+entry is an unrounded pair (hi, lo), rounded once at the end.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .waves import SignPattern, _finite_vector
 class SolveReport:
     """Diagnostics from one solve.
 
-    residual_inf_norm is max |rhs - A x| of the first pass, the residual
-    the refinement step corrects.
+    residual_inf_norm is max |lo|, the largest compensation term added to
+    the plain sums; refinement_steps_used is 1 if any term is nonzero, else
+    0. Neither is a residual: the error after the solve is the round trip.
     """
 
     residual_inf_norm: float
@@ -56,16 +57,16 @@ def _two_sum_error(a, b, total):
     return (a - (total - virtual)) + (b - virtual)
 
 
-def _prefix_sums(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Running sums of hi + lo as a pair (sums, corrections); lo is overwritten.
+def _total(hi: np.ndarray, lo) -> tuple[float, float]:
+    """The total of hi + lo as a pair (sum, correction), summed in index order.
 
-    The plain running sum is kept next to the running sum of its exact
-    rounding errors (and of lo), so sums + corrections is accurate to a
-    few units in the last place however long the series.
+    The plain running sum of hi is kept next to the running sum of its
+    exact rounding errors and of lo; only the last entry of each is kept.
     """
     sums = np.cumsum(hi)
-    lo[1:] += _two_sum_error(sums[:-1], hi[1:], sums[1:])
-    return sums, np.cumsum(lo)
+    errors = np.r_[0.0, _two_sum_error(sums[:-1], hi[1:], sums[1:])]
+    errors += lo
+    return sums[-1], np.cumsum(errors, out=errors)[-1]
 
 
 def _add(hi, lo, rows, terms, terms_lo):
@@ -112,57 +113,40 @@ def _prime_steps(m: int, powers: bool = False):
         yield j * large[:count], j
 
 
-def _substitute(rhs: np.ndarray) -> np.ndarray:
-    """Forward substitution with plain sums; coefficients in train order.
+def _substitute(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Compensated forward substitution: coefficients as an unrounded pair (hi, lo).
 
-    The Moebius sweep turns the halved differences d = g * x into
+    Entry l of each is for the train with span l; entry 0 is zero. The
+    Moebius sweep turns the halved differences d = g * x into
     y = (2 delta_2 - delta_1) * x, so x_l = -y_l + 2 x_{l/2}, added over
-    dyadic blocks of l.
+    dyadic blocks of l. The sweep runs on -y, which starts from the halved
+    negated differences, so x needs no negation. Every add is compensated.
     """
     n = rhs.shape[0]
-    y = np.zeros(n + 1)
-    y[1:n] = np.diff(rhs) / 2.0
+    hi = np.zeros(n + 1)
+    lo = np.zeros(n + 1)
+    hi[1:n] = rhs[:-1] - rhs[1:]
+    lo[1:n] = _two_sum_error(rhs[:-1], -rhs[1:], hi[1:n])
+    hi *= 0.5
+    lo *= 0.5
     for rows, sources in _prime_steps(n - 1):
-        y[rows] -= y[sources]
-    x = 0.0 - y  # x[l]: coefficient of the train with span l; -y would give -0.0
+        _add(hi, lo, rows, -hi[sources], -lo[sources])
     for k in (1 << b for b in range((n - 1).bit_length() - 1)):  # 2 k <= n - 1
-        doubled = x[2 * k : 4 * k : 2]
-        doubled += 2.0 * x[k : k + doubled.size]
-    x[n] = rhs[0] - x[:n].sum()  # x[0] is 0
-    return x[:0:-1].copy()
-
-
-def _product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign matrix times x (train order) as an unrounded pair (sums, corrections).
-
-    The row differences are D = zeta * y with y_i = -x_i + 2 x_{i/2}: every
-    add of the zeta sweep is compensated.
-    """
-    n = x.shape[0]
-    spans = x[::-1]  # spans[l - 1]: coefficient of the train with span l
-    diff_hi = np.zeros(n)
-    diff_lo = np.zeros(n)
-    diff_hi[1:] = 0.0 - spans[:-1]  # -x_i; a zero stays +0.0
-    _add(diff_hi, diff_lo, slice(2, None, 2), 2.0 * spans[: (n - 1) // 2], 0.0)
-    for rows, sources in _prime_steps(n - 1, powers=True):
-        _add(diff_hi, diff_lo, rows, diff_hi[sources], diff_lo[sources])
-    diff_hi *= 2.0
-    diff_lo *= 2.0
-    # row 1 is the compensated total of all coefficients: the last entry of
-    # _prefix_sums(spans, zeros), without that call's n-vectors
-    sums = np.cumsum(spans)
-    errors = np.r_[0.0, _two_sum_error(sums[:-1], spans[1:], sums[1:])]
-    diff_hi[0], diff_lo[0] = sums[-1], np.cumsum(errors)[-1]
-    del sums, errors  # the final prefix sums would otherwise sit on two more n-vectors
-    return _prefix_sums(diff_hi, diff_lo)
+        stop = min(2 * k, (n + 1) // 2)  # rows 2 k .. 2 stop - 2, all below n
+        _add(hi, lo, slice(2 * k, 2 * stop, 2), 2.0 * hi[k:stop], 2.0 * lo[k:stop])
+    total, correction = _total(hi[:n], lo[:n])
+    hi[n] = rhs[0] - total
+    lo[n] = _two_sum_error(rhs[0], -total, hi[n]) - correction
+    return hi, lo
 
 
 def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     """Matrix-free product of the sign matrix with x.
 
-    Computes row 1 and the row-to-row differences
-    2 * sum_{l | i} (-1)^(i/l) x_l by the zeta sweep, every add compensated
-    with TwoSum, then a compensated prefix sum. The order of operations is
+    Computes row 1, the total of x, and the row-to-row differences
+    2 * sum_{l | i} (-1)^(i/l) x_l, which are zeta * y with
+    y_i = -x_i + 2 x_{i/2}, by the zeta sweep, every add compensated with
+    TwoSum, then a compensated prefix sum. The order of operations is
     fixed, so the result is bit-reproducible, exact on integer vectors, and
     free of the rounding drift a plain running sum would pick up
     (coefficients can dwarf the series values by orders of magnitude).
@@ -170,9 +154,23 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
     the float64 range.
     """
     x = _finite_vector(x, pattern.n, "x")
+    n = x.shape[0]
+    spans = x[::-1]  # spans[l - 1]: coefficient of the train with span l
     with np.errstate(over="ignore", invalid="ignore"):
-        sums, corrections = _product(x)
-        product = sums + corrections
+        diff_hi = np.zeros(n)
+        diff_lo = np.zeros(n)
+        diff_hi[1:] = 0.0 - spans[:-1]  # -x_i; a zero stays +0.0
+        _add(diff_hi, diff_lo, slice(2, None, 2), 2.0 * spans[: (n - 1) // 2], 0.0)
+        for rows, sources in _prime_steps(n - 1, powers=True):
+            _add(diff_hi, diff_lo, rows, diff_hi[sources], diff_lo[sources])
+        diff_hi *= 2.0
+        diff_lo *= 2.0
+        diff_hi[0], diff_lo[0] = _total(spans, 0.0)  # row 1 is the total of all coefficients
+        # a compensated prefix sum: the running sum of the rounding errors
+        # (and of diff_lo) is kept next to the plain one
+        sums = np.cumsum(diff_hi)
+        diff_lo[1:] += _two_sum_error(sums[:-1], diff_hi[1:], sums[1:])
+        product = sums + np.cumsum(diff_lo, out=diff_lo)
     if not np.all(np.isfinite(product)):
         raise OverflowError(
             f"sign-matrix product overflows float64 (max |x| = {np.max(np.abs(x)):.3e})"
@@ -183,37 +181,30 @@ def apply_sign_matrix(pattern: SignPattern, x: np.ndarray) -> np.ndarray:
 def solve(pattern: SignPattern, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
     """Solve sign_matrix @ c = rhs.
 
-    Forward substitution with plain sums, then one refinement step that
-    feeds the residual, formed by the compensated product, back through the
-    substitution; the step is skipped when the residual is exactly zero.
-    The coefficients come out as the exact solution rounded to nearest on
-    every input the tests check. The report gives the residual before the
-    step; the error after it is the round trip. Deterministic. Takes a
-    finite rhs of length n; OverflowError means the coefficients leave the
-    float64 range, which takes series values near its limit.
+    One forward substitution in which every add is compensated with TwoSum,
+    as in the compensated sums of Ogita, Rump and Oishi (SIAM J. Sci.
+    Comput. 26(6), 2005): each coefficient is carried as a pair, the plain
+    sum and the sum of its rounding errors, and rounded once at the end. The coefficients come
+    out as the exact solution rounded to nearest on every input the tests
+    check. The report gives the largest correction the pairs added to the
+    plain sums. Deterministic. Takes a finite rhs of length n;
+    OverflowError means the coefficients leave the float64 range, which
+    takes series values near its limit.
     """
     rhs = _finite_vector(rhs, pattern.n, "rhs")
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _substitute(rhs)
-        # The residual comes from the unrounded product: rounding A @ x to
-        # doubles first would limit the correction to the spacing of the
-        # series values, leaving about 40% of coefficients more than half an
-        # ulp off.
-        sums, corrections = _product(x)
-        residual = (rhs - sums) - corrections
-        used = 0
-        if np.any(residual):
-            x = x + _substitute(residual)
-            used = 1
+        hi, lo = _substitute(rhs)
+        x = hi[:0:-1] + lo[:0:-1]  # lo holds no -0.0, so a zero coefficient is +0.0
     if not np.all(np.isfinite(x)):
         raise OverflowError(
             f"coefficients overflow float64 (max |V| = {np.max(np.abs(rhs)):.3e}); "
             "scale the series down"
         )
+    correction = float(np.max(np.abs(lo)))
     report = SolveReport(
-        residual_inf_norm=float(np.max(np.abs(residual))),
-        refinement_steps_used=used,
+        residual_inf_norm=correction,
+        refinement_steps_used=int(correction > 0.0),
         elapsed_seconds=time.perf_counter() - t0,
     )
     return x, report

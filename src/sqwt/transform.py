@@ -83,9 +83,9 @@ class ReconstructionReport:
 def forward(series: TimeSeries) -> tuple[Spectrum, SolveReport]:
     """Decompose a series into its dyad spectrum by solving the sign system.
 
-    The SolveReport's residual is that of the first pass, before the
-    refinement step corrects it; the error after it is the round trip,
-    which reconstruction_report measures on inverse(spectrum).
+    The SolveReport gives the largest correction the compensated solve
+    added to its plain sums; the error of the coefficients is the round
+    trip, which reconstruction_report measures on inverse(spectrum).
     """
     pattern = SignPattern(series.grid.n)
     coefficients, report = solve(pattern, series.values)

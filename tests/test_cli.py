@@ -67,7 +67,7 @@ class TestAnalyze:
         assert main(["analyze", str(paper_file), "--fs", "4",
                      "--out", str(tmp_path / "s.json")]) == 0
         solve_line = capsys.readouterr().out.splitlines()[1]
-        assert solve_line.startswith("solve: residual_inf=")
+        assert solve_line.startswith("solve: correction_inf=")
         assert "min_pivot" not in solve_line
 
     def test_empty_file_exit_2(self, tmp_path):

@@ -924,16 +924,18 @@ class TestCanonicalReader:
         assert status == 2 and not out.exists() and captured.out == ""
         assert captured.err == f"error: {fifo}: cannot copy to a temporary file: {reason}\n"
 
-    @pytest.mark.parametrize("faulty", [False, True])
-    def test_read_in_bounded_memory(self, tmp_path, monkeypatch, faulty):
-        # a faulty last record is named in the same one pass, not by reading the file again
+    @pytest.mark.parametrize("faulty, got", [
+        (None, None), (b"1e999", "inf"), (b"1" + b"0" * 399, "an integer of 400 digits"),
+    ], ids=["valid", "float past the range", "int past the range"])
+    def test_read_in_bounded_memory(self, tmp_path, monkeypatch, faulty, got):
+        # a faulty last c is named in the same one pass, not by reading the file again
         spectrum = random_spectrum(100_000)
         path = tmp_path / "spectrum.json"
         write_spectrum(path, spectrum)
         if faulty:
             data = path.read_bytes()
             at = data.rindex(b'"c": ') + len(b'"c": ')
-            path.write_bytes(data[:at] + b"1e999" + data[data.index(b",", at):])
+            path.write_bytes(data[:at] + faulty + data[data.index(b",", at):])
             expected = outcome(read_document, path)
             monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
         tracemalloc.start()
@@ -943,7 +945,7 @@ class TestCanonicalReader:
         finally:
             tracemalloc.stop()
         if faulty:
-            assert expected == (FileFormatError, "dyad 100000: c must be a finite number, got inf")
+            assert expected == (FileFormatError, f"dyad 100000: c must be a finite number, got {got}")
             assert result == expected
         else:
             assert result[2] == spectrum.coefficients.tobytes()
