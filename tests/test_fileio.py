@@ -953,7 +953,7 @@ class TestCanonicalReader:
 
 
 def test_series_read_in_bounded_memory(tmp_path):
-    """Lines are cut one at a time: the peak is the file's bytes and the floats."""
+    """Lines are cut one at a time: the peak is the file's bytes and the array."""
     path = tmp_path / "series.csv"
     values = generate(7, GridSpec.from_sampling_rate(100_000, 1000.0)).series.values
     write_series_values(path, values)
@@ -965,7 +965,7 @@ def test_series_read_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert loaded.tobytes() == values.tobytes()
-    assert peak < 6 * size, f"read_series_values peaked at {peak / size:.1f}x the file's size"
+    assert peak < 2.5 * size, f"read_series_values peaked at {peak / size:.1f}x the file's size"
 
 
 def test_series_from_a_fifo_reads_as_from_the_file(tmp_path):

@@ -367,6 +367,20 @@ class TestWideRangeAt2000:
         assert np.all(np.abs(rebuilt - rhs) <= bound)
 
 
+@pytest.mark.parametrize("n", [187, 219, 256])
+def test_bounds_hold_where_train_1_misrounds(n):
+    """At these n, train 1's coefficient of signed lognormal(0, 20) (span n,
+    V_1 minus the compensated total of the others) is one ulp off c*; the
+    normwise coefficient bound and the round-trip bound still hold."""
+    rhs = wide_family("lognormal20", n)
+    x, _ = solve(SignPattern(n), rhs)
+    exact = solve_sign_system_rounded(rhs)
+    assert np.max(np.abs(x - exact)) <= np.spacing(np.max(np.abs(exact))) / 2
+    rebuilt = apply_sign_matrix(SignPattern(n), x)
+    bound = np.sum(np.spacing(np.abs(x))) / 2 + np.spacing(np.abs(rebuilt)) / 2
+    assert np.all(np.abs(rebuilt - rhs) <= bound)
+
+
 class TestCorrectlyRoundedOnLognormal6:
     """Componentwise correct rounding also holds on signed lognormal(0, 6) at n = 2,000."""
 
