@@ -10,16 +10,15 @@ series is parsed from its bytes, one line at a time, each value going
 straight into the float64 array: the reader holds the file's bytes and the
 array, and no Python float per value.
 
-`write_spectrum` and the block reader, `_read_canonical`, both take the
-spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL; the
-reader reads a canonical file once, front to back, and matches records with
-one pattern built from the record template; the file's size only bounds n.
-A pipe is first copied to a temporary file; only a file that departs from
-the layout is read again, from the same open file, as one JSON document,
-held whole in memory. Both readers name a faulty record by `_record_fault`,
-leave the header's `n` rule to GridSpec, take the rule for a valid real
-number (the header's delta_t_s and f_s_hz, each record's f_hz and c) from
-`sqwt.waves`, and check each stored frequency against its frequency law.
+`write_spectrum` and the canonical reader, `_read_canonical`, both take
+the spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL;
+the reader matches records with one pattern built from the record template.
+How a spectrum is read, from a file or a pipe, is told in
+`_read_canonical`'s docstring. Both readers name a faulty record by
+`_record_fault`, leave the header's `n` rule to GridSpec, take the rule for
+a valid real number (the header's delta_t_s and f_s_hz, each record's f_hz
+and c) from `sqwt.waves`, and check each stored frequency against its
+frequency law.
 """
 
 from __future__ import annotations
@@ -247,52 +246,26 @@ def _float_or_inf(token) -> float:
         return math.inf
 
 
-def _block(data: bytes, done: int, grid: GridSpec):
-    """(coefficients, carry, fault) for the complete records at the start of a canonical block.
-
-    `data` starts at a record and comes after `done` records; None if it
-    departs from the canonical layout. One _RECORD.split cuts the records:
-    every separator piece but the last must be empty (the records are
-    contiguous) and the last, a partial record, is the carry. One json.loads
-    parses the block's i, f_hz and c tokens; `fault` names its first faulty
-    record, or is None.
-    """
-    pieces = _RECORD.split(data)
-    count = len(pieces) // 4
-    if done + count > grid.n or any(pieces[0:-1:4]):
-        return None
-    try:  # every i, then every f_hz, then every c; each token is a JSON int or float
-        tokens = json.loads(b"[" + b",".join(pieces[1::4] + pieces[2::4] + pieces[3::4]) + b"]")
-    except ValueError:  # a malformed token
-        return None
-    try:
-        column = np.array(tokens, dtype=np.float64)
-    except OverflowError:  # an int past the float range stands as inf, so its record is named
-        column = np.array([_float_or_inf(token) for token in tokens])
-    index, frequency, coefficients = column.reshape(3, count)
-    expected = _train_frequencies(grid, done + 1, done + count)
-    passed = ((index == np.arange(done + 1, done + count + 1))
-              & (np.abs(frequency - expected) <= _FREQ_SANITY_REL_TOL * expected)
-              & np.isfinite(coefficients))
-    fault = None
-    if not passed.all():  # the first record that fails, worded from its own tokens
-        pos = int(np.argmin(passed))
-        fault = _record_fault(done + pos, dict(zip(("i", "f_hz", "c"), tokens[pos::count])),
-                              grid.n, float(expected[pos]))
-    return coefficients, pieces[-1], fault
-
-
 def _read_canonical(file, name: str) -> Spectrum | None:
     """The spectrum in a binary file of the canonical layout; None if it departs from it.
 
-    One pass, front to back, reading each byte once: decodes the header
-    with json.loads, then sends the bytes after it, and each later chunk of
-    _CHUNK bytes, through _block behind the partial record carried from the
-    one before. At the end of the file the carry must end in _TAIL, read as
-    _RECORD_SEP. A carry longer than _CHUNK falls back; the file's size
-    only bounds n before n floats are allocated. The first faulty record is
-    named only once the whole file holds to the layout with n records, in
-    the document reader's order of faults.
+    `read_spectrum` opens its input once and hands this reader a regular
+    file, or a pipe's copy: a tempfile.TemporaryFile as large as the stream,
+    in tempfile.gettempdir() and gone when the read ends. One pass, front to
+    back, reads each byte once: json.loads decodes the header, and the file's
+    size only bounds n before n floats are allocated. Then, per chunk of
+    _CHUNK bytes behind the partial record carried from the one before, one
+    _RECORD.split cuts the complete records (every separator piece but the
+    last must be empty, so the records are contiguous; the last is the new
+    carry), one json.loads parses their i, f_hz and c tokens, and the c row
+    goes straight into the coefficients. At the end of the file the carry
+    must end in _TAIL, read as _RECORD_SEP. A header that fails, a gap
+    between records, a malformed token, a carry longer than _CHUNK or a
+    count other than n departs from the layout: `read_spectrum` then reads
+    the same open file again, whole in memory, with `_read_document`, for
+    the same result or fault. The first faulty record, worded by
+    `_record_fault`, is named only once the whole file holds to the layout
+    with n records, in the document reader's order of faults.
     """
     size = os.fstat(file.fileno()).st_size
     head = file.read(_CHUNK)
@@ -305,9 +278,10 @@ def _read_canonical(file, name: str) -> Spectrum | None:
         grid = _grid(doc, name)  # the message is dropped: the fallback names the fault
     except (ValueError, RecursionError, FileFormatError):
         return None
-    if grid.n * len(_PIECES[0]) > size:  # too few bytes for n records
+    n = grid.n
+    if n * len(_PIECES[0]) > size:  # too few bytes for n records
         return None
-    coefficients = np.empty(grid.n)
+    coefficients = np.empty(n)
     # the bytes after the header are the first chunk (none there does not end the file)
     carry, chunk, done, more, fault = b"", head[pos:] or file.read(_CHUNK), 0, True, None
     while more:
@@ -315,17 +289,32 @@ def _read_canonical(file, name: str) -> Spectrum | None:
             if not carry.endswith(_TAIL):
                 return None
             carry, chunk, more = carry[: -len(_TAIL)], _RECORD_SEP, False
-        block = _block(carry + chunk, done, grid)
-        if block is None:
+        pieces = _RECORD.split(carry + chunk)
+        count = len(pieces) // 4
+        if done + count > n or any(pieces[0:-1:4]):
             return None
-        column, carry, found = block
-        fault = fault or found  # the first fault is the one named
-        coefficients[done : done + len(column)] = column
-        done += len(column)
+        try:  # every i, then every f_hz, then every c; each token is a JSON int or float
+            tokens = json.loads(b"[" + b",".join(pieces[1::4] + pieces[2::4] + pieces[3::4]) + b"]")
+        except ValueError:  # a malformed token
+            return None
+        try:
+            column = np.array(tokens, dtype=np.float64)
+        except OverflowError:  # an int past the float range stands as inf, so its record is named
+            column = np.array([_float_or_inf(token) for token in tokens])
+        index, frequency, coefficients[done : done + count] = column.reshape(3, count)
+        expected = _train_frequencies(grid, done + 1, done + count)
+        passed = ((index == np.arange(done + 1, done + count + 1))
+                  & (np.abs(frequency - expected) <= _FREQ_SANITY_REL_TOL * expected)
+                  & np.isfinite(coefficients[done : done + count]))
+        if fault is None and not passed.all():  # the first record that fails, from its tokens
+            at = int(np.argmin(passed))
+            fault = _record_fault(done + at, dict(zip(("i", "f_hz", "c"), tokens[at::count])),
+                                  n, float(expected[at]))
+        done, carry = done + count, pieces[-1]
         if len(carry) > _CHUNK:
             return None
         chunk = file.read(_CHUNK) if more else b""
-    if carry or done != grid.n:
+    if carry or done != n:
         return None
     _require(fault is None, name, fault)
     return Spectrum(grid, coefficients, doc["unit"])
@@ -336,13 +325,9 @@ def read_spectrum(path) -> Spectrum:
 
     Checks the record count, ascending 1..n indices, finite numbers, and
     that stored frequencies agree with the grid's frequency law; display
-    strings are presentation-only and ignored. The input is opened once; a
-    pipe is first copied to a tempfile.TemporaryFile, as large as the
-    stream, in tempfile.gettempdir() and gone when the read ends. The layout
-    of `write_spectrum`, faulty records too, is read once, in blocks of
-    bounded size; the file's size only bounds n. Only a file that departs
-    from the layout is read again from the same open file as one document,
-    held in memory, with the same result or fault.
+    strings are presentation-only and ignored. How the input is read, once
+    for the layout of `write_spectrum` and again only for a file that
+    departs from it, is told in `_read_canonical`'s docstring.
     """
     with _faults_named(path, "cannot read file"), contextlib.ExitStack() as files:
         file = files.enter_context(Path(path).open("rb"))

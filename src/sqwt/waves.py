@@ -59,7 +59,7 @@ def _is_integer(value) -> bool:  # a bool is not a size, an index or a seed
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _digits(whole: int) -> int:
+def _digit_count(whole: int) -> int:
     """Decimal digits of a nonzero int: str() refuses 4,301 digits, log10 is off by at most one."""
     whole = abs(whole)  # exact, so log10 cannot overflow
     k = int(math.log10(whole))
@@ -72,8 +72,8 @@ def _shown(value) -> str:
         return repr(value)
     except ValueError:  # Python's limit on int-to-decimal conversion
         if isinstance(value, numbers.Integral):
-            return f"an integer of {_digits(value)} digits"
-        num, den = _digits(value.numerator), _digits(value.denominator)
+            return f"an integer of {_digit_count(value)} digits"
+        num, den = _digit_count(value.numerator), _digit_count(value.denominator)
         return f"a {type(value).__name__} of {num} numerator and {den} denominator digits"
 
 
@@ -82,7 +82,7 @@ def _as_float(value, rule: str) -> float:
     try:
         return float(value)
     except OverflowError:
-        digits = _digits(int(value))  # int() is exact for an int or a Fraction
+        digits = _digit_count(int(value))  # int() is exact for an int or a Fraction
         if isinstance(value, numbers.Integral):
             raise ValueError(f"{rule}, got an integer of {digits} digits") from None
         kind = type(value).__name__

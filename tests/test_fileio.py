@@ -722,22 +722,37 @@ class TestCanonicalReader:
                 assert outcome(read_spectrum, path) == expected, cut
                 assert (in_blocks != [None]) == (text is data), cut
 
+    @pytest.mark.parametrize("faulty", [False, True], ids=["valid", "faulty"])
     @pytest.mark.parametrize("extra,in_blocks", [(2 * fileio._CHUNK, False),
                                                  (fileio._CHUNK + 1, True)])
-    def test_record_longer_than_a_chunk(self, tmp_path, monkeypatch, extra, in_blocks):
-        # record 2's display padded with digits: a carry past _CHUNK falls back
+    def test_record_longer_than_a_chunk(self, tmp_path, monkeypatch, extra, in_blocks, faulty):
+        # record 2's display padded with digits: a carry past _CHUNK falls back;
+        # records 1 and 8 with c = 1e999: the block pass finds record 1's fault
+        # before the padding, and names the first fault only at the end
         spectrum = random_spectrum(8, seed=8, unit="mV")
         path = tmp_path / "spectrum.json"
         write_spectrum(path, spectrum)
         data = path.read_bytes()
+        if faulty:
+            for record in (b'"i": 1,', b'"i": 8,'):
+                c = data.index(b'"c": ', data.index(record)) + len(b'"c": ')
+                data = data[:c] + b"1e999" + data[data.index(b",\n", c):]
         record_2 = data.index(b'"i": 2,')
         at = data.index(b'"display": "(', record_2) + len(b'"display": "(')
         path.write_bytes(data[:at] + b"0" * extra + data[at:])
+        fault = "dyad 1: c must be a finite number, got inf"
         with path.open("rb") as file:
-            assert (fileio._read_canonical(file, str(path)) is not None) == in_blocks
+            if faulty and in_blocks:  # named by the block pass itself
+                with pytest.raises(FileFormatError, match=re.escape(fault)):
+                    fileio._read_canonical(file, str(path))
+            else:
+                assert (fileio._read_canonical(file, str(path)) is not None) == in_blocks
         if in_blocks:
             monkeypatch.setattr(fileio, "_read_document", _no_document_reader)
-        assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
+        if faulty:
+            assert error_text(path) == f"{path}: {fault}"
+        else:
+            assert read_spectrum(path).coefficients.tobytes() == spectrum.coefficients.tobytes()
 
     def test_each_byte_read_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "_CHUNK", 256)

@@ -162,7 +162,7 @@ class TestSolve:
             with pytest.raises(OverflowError, match="coefficients overflow float64"):
                 solve(SignPattern(200), rhs)
 
-    def test_zero_refinement_steps_allowed(self):
+    def test_no_correction_when_sums_are_exact(self):
         # every sum of the paper series is exact, so no correction is added
         x, report = solve(SignPattern(8), PAPER_VALUES)
         assert report.refinement_steps_used == 0
@@ -177,7 +177,7 @@ class TestSolve:
         assert np.array_equal(x1, x2)
 
     @pytest.mark.parametrize("n", [64, 512, 2048, 4096])
-    def test_residual_bound_after_refinement(self, n):
+    def test_largest_compensation_term_is_small(self, n):
         rng = np.random.default_rng(n)
         rhs = rng.uniform(-100, 100, n)
         _, report = solve(SignPattern(n), rhs)
