@@ -62,8 +62,19 @@ class TestAnalyze:
         out = tmp_path / "spectrum.json"
         assert main(["analyze", str(paper_file), "--fs", "4", "--out", str(out)]) == 0
         assert read_spectrum(out).grid == GridSpec(8, 2.0, 4.0)
+        # the same grid given by its duration, 1,000 values over 0.5 s, gives the same bytes
+        series = tmp_path / "series.csv"
+        assert main(["generate", "--seed", "42", "--n", "1000", "--fs", "2000",
+                     "--out", str(series)]) == 0
+        outputs = {}
+        for flag, value in (("--fs", "2000"), ("--delta-t", "0.5")):
+            spectrum, report = tmp_path / f"{flag}.json", tmp_path / f"{flag}.report.json"
+            assert main(["analyze", str(series), flag, value,
+                         "--out", str(spectrum), "--report", str(report)]) == 0
+            outputs[flag] = (spectrum.read_bytes(), report.read_bytes())
+        assert outputs["--delta-t"] == outputs["--fs"]
 
-    def test_analyze_stdout_has_no_pivot(self, tmp_path, paper_file, capsys):
+    def test_analyze_prints_the_correction_line(self, tmp_path, paper_file, capsys):
         assert main(["analyze", str(paper_file), "--fs", "4",
                      "--out", str(tmp_path / "s.json")]) == 0
         solve_line = capsys.readouterr().out.splitlines()[1]
@@ -156,11 +167,12 @@ class TestAnalyze:
          "f_s = 1e-320 is too small for n = 10: n / f_s overflows"),
     ])
     def test_bad_grid_flag_exit_2(self, tmp_path, paper_file, command, flags, message):
+        out, report = tmp_path / "out", tmp_path / "report.json"
         inputs = [str(paper_file)] if command == "analyze" else []
-        out = tmp_path / "out"
-        result = run_cli(command, *inputs, *flags, "--out", str(out))
+        outputs = ["--report", str(report)] if command == "analyze" else []
+        result = run_cli(command, *inputs, *flags, "--out", str(out), *outputs)
         assert (result.returncode, result.stderr) == (2, f"error: {message}\n")
-        assert not out.exists()
+        assert not out.exists() and not report.exists()
 
     def test_above_former_dense_cap_exit_0(self, tmp_path):
         # n = 20,000 was refused with exit 4; the removed SQWT_MAX_N_DENSE
@@ -460,15 +472,20 @@ class TestUnwritableOutput:
         assert "wrote" not in captured.out
         assert report.read_bytes() == (tmp_path / "expected.json").read_bytes()
 
+    @pytest.mark.parametrize("target", ["read-only", "/dev/full"])
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    def test_unwritable_stdout_exit_2(self, tmp_path, unbuffered):
+    def test_unwritable_stdout_exit_2(self, tmp_path, unbuffered, target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full on this platform")
         readonly = tmp_path / "stdout.txt"
         readonly.write_text("")
         out = tmp_path / "g.csv"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        with readonly.open("rb") as stdout:  # writes to it fail with EBADF
+        # writes to the read-only file fail with EBADF, to /dev/full with ENOSPC
+        opened = readonly.open("rb") if target == "read-only" else open(target, "wb")
+        with opened as stdout:
             result = subprocess.run(
                 [sys.executable, "-m", "sqwt", "generate", "--seed", "1", "--n", "10",
                  "--fs", "10", "--out", str(out)],

@@ -86,7 +86,7 @@ class TestDigitMapping:
         assert math.copysign(1.0, value) == 1.0
 
 
-class TestDigitStream:
+class TestDigits:
     def test_seed_validation(self):
         grid = GridSpec.from_sampling_rate(4, 2000.0)
         generate(0, grid)
