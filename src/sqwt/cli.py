@@ -172,7 +172,3 @@ def _run(argv) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

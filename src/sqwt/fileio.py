@@ -4,11 +4,13 @@ A series file is one decimal value per line with an optional `value`
 header. A spectrum file is a JSON document holding the grid metadata and
 per-dyad records; numbers are stored at full precision (shortest
 round-trip decimal form) next to a six-decimal display string. Every file
-is written as bytes, ASCII with "\n" line ends on every platform, each float
+is written as bytes, ASCII with "\\n" line ends on every platform, each float
 as `_floattext.repr_rows` gives it in blocks of at most 8,192 values. A
 series is parsed from its bytes, one line at a time, each value going
 straight into the float64 array: the reader holds the file's bytes and the
-array, and no Python float per value.
+array, and no Python float per value. float() of bytes refuses every byte
+outside the series grammar (non-ASCII ones and \\x1c-\\x1f too) but the three
+of _NOT_IN_SERIES, `_`, `\\v` and `\\f`, which the reader screens for.
 
 `write_spectrum` and the canonical reader, `_read_canonical`, both take
 the spectrum layout from _DYAD_RECORD, _HEAD_END, _RECORD_SEP and _TAIL;
@@ -54,10 +56,10 @@ _DYAD_RECORD = (
 _HEAD_END = b'\n  "dyads": [\n'
 _RECORD_SEP = b",\n"
 _TAIL = b"\n  ]\n}\n"
-# ASCII characters that float() accepts inside a number (digit-group
-# underscores) or around it (whitespace other than spaces and tabs); no
-# decimal line of a series file holds one
-_NOT_IN_SERIES = b"_\v\f\x1c\x1d\x1e\x1f"
+# the bytes other than decimal text, spaces, tabs and line ends that float()
+# of bytes accepts: digit-group underscores inside a number, \v and \f
+# around it; no decimal line of a series file holds one
+_NOT_IN_SERIES = b"_\v\f"
 
 
 @contextlib.contextmanager
@@ -88,29 +90,30 @@ def _decoded(data: bytes, name) -> str:
 def read_series_values(path) -> np.ndarray:
     """Parse a series file into a float64 vector.
 
-    Accepts an optional leading `value` header. Lines end in "\n", "\r\n"
-    or "\r"; only spaces and tabs may surround a value. The first line whose
+    Accepts an optional leading `value` header. Lines end in "\\n", "\\r\\n"
+    or "\\r"; only spaces and tabs may surround a value. The first line whose
     token is not a finite ASCII decimal number (no digit-group underscores)
     fails with its 1-based number; an empty file fails naming the file.
     Only non-ASCII bytes are decoded whole, to check them as UTF-8. After a
-    byte-order mark, float() parses each line's bytes; where a byte is not
-    ASCII or is in _NOT_IN_SERIES, each line's bytes are checked for them
-    first. A line is decoded only to name it in a fault. np.fromiter drains
-    the values as they are parsed, so the peak is the file's bytes and the
-    array (about 1.9x the file's size at n = 10^6).
+    byte-order mark, float() parses each line's bytes and refuses by itself
+    every byte outside the grammar but `_`, `\\v` and `\\f` (_NOT_IN_SERIES):
+    where the file holds one of these, each line's bytes are screened for
+    them first. A line is decoded only to name it in a fault. np.fromiter
+    drains the values as they are parsed, so the peak is the file's bytes
+    and the array (about 1.9x the file's size at n = 10^6).
     """
     with _faults_named(path, "cannot read file"), Path(path).open("rb") as file:
         data = file.read()
     if not data.isascii():
         _decoded(data, path)  # refuses bytes that are not UTF-8
     data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    clean = data.isascii() and not any(c in data for c in _NOT_IN_SERIES)
+    clean = not any(c in data for c in _NOT_IN_SERIES)
 
     def parsed():
         for lineno, raw in enumerate(io.BytesIO(data), start=1):
             try:
-                if not clean and (not raw.isascii() or any(c in raw for c in _NOT_IN_SERIES)):
-                    raise ValueError(raw)  # float() accepts some of these characters
+                if not clean and any(c in raw for c in _NOT_IN_SERIES):
+                    raise ValueError(raw)  # float() accepts these bytes
                 value = float(raw)  # as float(token): the only blanks are spaces, tabs and "\n"
             except ValueError:
                 token = raw.decode("utf-8").rstrip("\n").strip(" \t")
@@ -215,7 +218,8 @@ def _read_document(file, p: str) -> Spectrum:
     """Parse and check an open spectrum file with one json.loads, naming the first fault."""
     try:
         doc = json.loads(_decoded(file.read(), p))  # the text is freed once it is parsed
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
+    # JSONDecodeError, an integer literal over 4300 digits, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise FileFormatError(p, f"not valid JSON: {exc}") from None
     grid = _grid(doc, p)
     n = grid.n
@@ -238,14 +242,6 @@ _PIECES = re.split(b"(%s)" % b"|".join(map(re.escape, _FIELDS)), _DYAD_RECORD + 
 _RECORD = re.compile(b"".join(_FIELDS.get(piece) or re.escape(piece) for piece in _PIECES))
 
 
-def _float_or_inf(token) -> float:
-    """float(token), or inf for an int past the float range."""
-    try:
-        return float(token)
-    except OverflowError:
-        return math.inf
-
-
 def _read_canonical(file, name: str) -> Spectrum | None:
     """The spectrum in a binary file of the canonical layout; None if it departs from it.
 
@@ -254,11 +250,12 @@ def _read_canonical(file, name: str) -> Spectrum | None:
     in tempfile.gettempdir() and gone when the read ends. One pass, front to
     back, reads each byte once: json.loads decodes the header, and the file's
     size only bounds n before n floats are allocated. Then, per chunk of
-    _CHUNK bytes behind the partial record carried from the one before, one
-    _RECORD.split cuts the complete records (every separator piece but the
-    last must be empty, so the records are contiguous; the last is the new
-    carry), one json.loads parses their i, f_hz and c tokens, and the c row
-    goes straight into the coefficients. At the end of the file the carry
+    _CHUNK bytes behind the partial record carried from the one before (at
+    first, the bytes after the header), one _RECORD.split cuts the complete
+    records (every separator piece but the last must be empty, so the
+    records are contiguous; the last is the new carry), one json.loads
+    parses their i, f_hz and c tokens, and the c row goes straight into the
+    coefficients. An empty chunk is the end of the file, where the carry
     must end in _TAIL, read as _RECORD_SEP. A header that fails, a gap
     between records, a malformed token, a carry longer than _CHUNK or a
     count other than n departs from the layout: `read_spectrum` then reads
@@ -282,8 +279,7 @@ def _read_canonical(file, name: str) -> Spectrum | None:
     if n * len(_PIECES[0]) > size:  # too few bytes for n records
         return None
     coefficients = np.empty(n)
-    # the bytes after the header are the first chunk (none there does not end the file)
-    carry, chunk, done, more, fault = b"", head[pos:] or file.read(_CHUNK), 0, True, None
+    carry, chunk, done, more, fault = head[pos:], file.read(_CHUNK), 0, True, None
     while more:
         if not chunk:  # the end of the file: the last record then ends like the others
             if not carry.endswith(_TAIL):
@@ -299,8 +295,8 @@ def _read_canonical(file, name: str) -> Spectrum | None:
             return None
         try:
             column = np.array(tokens, dtype=np.float64)
-        except OverflowError:  # an int past the float range stands as inf, so its record is named
-            column = np.array([_float_or_inf(token) for token in tokens])
+        except OverflowError:  # inf for an int past the float range, so its record is named
+            column = np.array([float(str(token)) for token in tokens])
         index, frequency, coefficients[done : done + count] = column.reshape(3, count)
         expected = _train_frequencies(grid, done + 1, done + count)
         passed = ((index == np.arange(done + 1, done + count + 1))

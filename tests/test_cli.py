@@ -12,7 +12,7 @@ import pytest
 
 from sqwt.cli import main
 from sqwt.fileio import read_series_values, read_spectrum, write_series_values, write_spectrum
-from sqwt import GridSpec, Spectrum
+from sqwt import FileFormatError, GridSpec, Spectrum
 
 from oracles import golden_10000
 
@@ -330,6 +330,22 @@ class TestSpectrumPlotdata:
         bad = tmp_path / "bad.json"
         bad.write_text("[1,2,3]")
         assert main(["spectrum-plotdata", str(bad), "--out", str(tmp_path / "p.csv")]) == 2
+
+    @pytest.mark.parametrize("text", ["[" * 100_000,
+                                      '{"n": 1, "x": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["brackets", "nested field"])
+    def test_deep_nesting_not_valid_json(self, tmp_path, text):
+        # json.loads raises RecursionError, not ValueError, past the recursion limit
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        with pytest.raises(FileFormatError) as err:
+            read_spectrum(deep)
+        assert str(err.value).startswith(f"{deep}: not valid JSON: ")
+        for command in ("spectrum-plotdata", "reconstruct"):
+            result = run_cli(command, str(deep), "--out", str(tmp_path / "out.csv"))
+            assert result.returncode == 2, result.stderr
+            assert "Traceback" not in result.stderr
+            assert result.stderr.startswith(f"error: {deep}: not valid JSON: ")
 
 
 class TestEndToEnd:

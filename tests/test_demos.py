@@ -1,6 +1,7 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, from a copy outside the checkout."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,11 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
-def test_demo_exits_0(script):
+def test_demo_exits_0(script, tmp_path):
+    # a demo writes beside itself (demos/output/), so its copy writes under tmp_path
+    copy = shutil.copy(script, tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, copy], capture_output=True, text=True, env=env,
+                            cwd=tmp_path)
     assert result.returncode == 0, result.stderr

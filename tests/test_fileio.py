@@ -110,8 +110,8 @@ class TestSeriesFiles:
         ("1\n\x1f2\n", 2, "\x1f2"),
     ])
     def test_non_decimal_characters_rejected(self, tmp_path, text, line, token):
-        # float() accepts underscores, non-ASCII digits or spaces and ASCII
-        # whitespace such as \x1f
+        # float() of a line's bytes accepts underscores, \v and \f; it refuses
+        # non-ASCII digits or spaces and \x1c-\x1f by itself
         path = tmp_path / "series.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(FileFormatError) as err:
@@ -1089,20 +1089,33 @@ def series_text(draw):
     return "\ufeff" * draw(st.booleans()) + text
 
 
+def check_series_by_grammar(path, text):
+    """read_series_values of text, written to path as UTF-8, gives the values, or the fault
+    and line, that series_by_grammar gives."""
+    values, fault, line = series_by_grammar(text)
+    path.write_bytes(text.encode("utf-8"))
+    if fault is None:
+        assert read_series_values(path).tobytes() == values, repr(text)
+    else:
+        with pytest.raises(FileFormatError) as err:
+            read_series_values(path)
+        where = path if line is None else f"{path}:{line}"
+        assert (str(err.value), err.value.line) == (f"{where}: {fault}", line), repr(text)
+
+
 @settings(max_examples=400, deadline=None)
 @given(series_text())
 def test_series_reader_agrees_with_grammar(text):
-    values, fault, line = series_by_grammar(text)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "series.csv"
-        path.write_bytes(text.encode("utf-8"))
-        if fault is None:
-            assert read_series_values(path).tobytes() == values
-        else:
-            with pytest.raises(FileFormatError) as err:
-                read_series_values(path)
-            where = path if line is None else f"{path}:{line}"
-            assert (str(err.value), err.value.line) == (f"{where}: {fault}", line)
+        check_series_by_grammar(Path(tmp) / "series.csv", text)
+
+
+def test_each_character_read_by_grammar(tmp_path):
+    # every ASCII character, then a non-ASCII line end, spaces and digits, each before,
+    # inside and after a digit and alone on a second line
+    for char in [chr(code) for code in range(128)] + list("\x85\xa0\u0661\u2028\u3000\uff11"):
+        for text in (f"{char}1\n", f"1{char}2\n", f"1{char}\n", f"1\n{char}\n"):
+            check_series_by_grammar(tmp_path / "series.csv", text)
 
 
 class TestPlotData:
